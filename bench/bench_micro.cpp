@@ -1,27 +1,21 @@
 // Microbenchmarks (google-benchmark) for the performance-critical
-// primitives: oracle evaluations (scalar vs batched vs parallel-batched),
-// the greedy selector family, and the partitioners. These are throughput
-// sanity checks, not paper artifacts.
+// primitives: oracle evaluations (scalar vs batched), the greedy selector
+// family, and the partitioners. These are throughput sanity checks, not
+// paper artifacts.
 //
 // Extra flag on top of the google-benchmark ones:
 //   --json[=path]   after the run, write ns/eval per objective for the
-//                   scalar / batch / parallel-batch gain paths (plus the
-//                   batch speedups) to `path` (default BENCH_micro.json).
-//                   The report also carries a `shard_view` section (clone vs
-//                   compacted-view build time, worker state bytes, gain
-//                   throughput), an `incremental_gain` section (plain vs
-//                   inverted-index coordinator filter), a `kernels` section
-//                   (exemplar gain_batch under BDS_KERNEL=legacy vs the lane
-//                   scalar kernels vs the dispatched SIMD path, across dims),
-//                   and a `parallel` section (exemplar batch vs the
-//                   cost-dimension-parallel batch, with the host thread
-//                   count), a `faults` section (fault-free vs
-//                   recoverable-fault bicriteria on a canonical workload:
-//                   retry overhead, wasted evals, and the degradation delta
-//                   when shards go unheard), and an `mmap` section (heap vs
-//                   zero-copy mapped load of a ~10M-set on-disk corpus:
-//                   load time, cold-page-cache first-round latency, and
-//                   O(shard) worker state vs the O(corpus) clone).
+//                   scalar / batch gain paths (plus the batch speedups) to
+//                   `path` (default BENCH_micro.json). The report also
+//                   carries a `kernels` section (exemplar gain_batch under
+//                   BDS_KERNEL=legacy vs the lane scalar kernels vs the
+//                   dispatched SIMD path, across dims), a `faults` section
+//                   (fault-free vs recoverable-fault bicriteria on a
+//                   canonical workload: retry overhead, wasted evals, and
+//                   the degradation delta when shards go unheard), and an
+//                   `mmap` section (heap vs zero-copy mapped load of a
+//                   ~10M-set on-disk corpus: load time, cold-page-cache
+//                   first-round latency, and the worker clone's state).
 //                   A `lazy` section compares the cross-round bound
 //                   substrate (core/bound_heap.h) against eager accounting
 //                   on a 4-round coverage bicriteria workload: total/worker
@@ -38,12 +32,8 @@
 //                   recoverable fault mix and print its structured round
 //                   trace as JSON.
 //
-// When the host has >= 8 hardware threads and the exemplar batch/parallel
-// benchmarks both ran, the binary exits nonzero unless the parallel path is
-// >= 2x the serial batch — the CI smoke check for the oracle-internal
-// cost-point split (a 1-core runner skips the assertion, it cannot scale).
 // When the prob_coverage scalar and batch gain benchmarks both ran, the
-// binary also exits nonzero unless the batch path beats scalar gains
+// binary exits nonzero unless the batch path beats scalar gains
 // (batch_speedup > 1.0) — the regression gate for the candidate-interleaved
 // batch kernel.
 #include <benchmark/benchmark.h>
@@ -61,10 +51,8 @@
 #include <numeric>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
-#include "core/batch_eval.h"
 #include "core/bicriteria.h"
 #include "core/bound_heap.h"
 #include "core/greedy.h"
@@ -78,10 +66,8 @@
 #include "data/vectors_gen.h"
 #include "dist/faults.h"
 #include "dist/partitioner.h"
-#include "dist/thread_pool.h"
 #include "dist/trace.h"
 #include "objectives/coverage.h"
-#include "objectives/coverage_incremental.h"
 #include "objectives/exemplar.h"
 #include "objectives/logdet.h"
 #include "objectives/prob_coverage.h"
@@ -164,13 +150,6 @@ std::vector<ElementId> stride_ids(std::size_t count, std::size_t stride,
   return xs;
 }
 
-BatchEvalOptions parallel_options(dist::ThreadPool& pool) {
-  BatchEvalOptions options;
-  options.pool = &pool;
-  options.min_parallel = 0;
-  return options;
-}
-
 void BM_RngNextU64(benchmark::State& state) {
   util::Rng rng(1);
   for (auto _ : state) benchmark::DoNotOptimize(rng.next_u64());
@@ -183,7 +162,7 @@ void BM_RngNextBelow(benchmark::State& state) {
 }
 BENCHMARK(BM_RngNextBelow);
 
-// --- coverage: scalar / batch / parallel batch ------------------------------
+// --- coverage: scalar / batch -----------------------------------------------
 
 CoverageOracle partly_covered_oracle() {
   CoverageOracle oracle(shared_sets());
@@ -219,85 +198,21 @@ void BM_CoverageGainBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_CoverageGainBatch);
 
-void BM_CoverageGainBatchParallel(benchmark::State& state) {
-  auto oracle = partly_covered_oracle();
-  const auto xs = stride_ids(kCoverageBatch, 37, oracle.ground_size());
-  std::vector<double> out(xs.size());
-  dist::ThreadPool pool;
-  const auto options = parallel_options(pool);
-  for (auto _ : state) {
-    evaluate_gains(oracle, xs, out, options);
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * xs.size());
-}
-BENCHMARK(BM_CoverageGainBatchParallel);
-
 void BM_CoverageClone(benchmark::State& state) {
   CoverageOracle oracle(shared_sets());
   for (auto _ : state) benchmark::DoNotOptimize(oracle.clone());
 }
 BENCHMARK(BM_CoverageClone);
 
-// --- shard-compacted views --------------------------------------------------
+// --- coordinator filter -----------------------------------------------------
 //
-// A worker's shard is a small slice of the ground set; the view's state
-// covers only the universe elements its shard can reach, while a clone drags
-// the full covered bitmap along. The build benchmark is the per-round cost a
-// machine pays instead of clone(); the gain benchmarks confirm the sliced
-// CSR answers queries within a small constant of clone speed (the view
-// resolves each query through the shard hash index; values bit-identical).
-
-constexpr std::size_t kShardSize = 2'048;
-
-void BM_CoverageShardViewBuild(benchmark::State& state) {
-  auto oracle = partly_covered_oracle();
-  const auto shard = stride_ids(kShardSize, 37, oracle.ground_size());
-  for (auto _ : state) benchmark::DoNotOptimize(oracle.shard_view(shard));
-}
-BENCHMARK(BM_CoverageShardViewBuild);
-
-void BM_CoverageCloneGainBatchOnShard(benchmark::State& state) {
-  auto oracle = partly_covered_oracle();
-  const auto shard = stride_ids(kShardSize, 37, oracle.ground_size());
-  const auto worker = oracle.clone();
-  std::vector<double> out(shard.size());
-  for (auto _ : state) {
-    worker->gain_batch(shard, out);
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * shard.size());
-}
-BENCHMARK(BM_CoverageCloneGainBatchOnShard);
-
-void BM_CoverageShardViewGainBatch(benchmark::State& state) {
-  auto oracle = partly_covered_oracle();
-  const auto shard = stride_ids(kShardSize, 37, oracle.ground_size());
-  const auto worker = oracle.shard_view(shard);
-  std::vector<double> out(shard.size());
-  for (auto _ : state) {
-    worker->gain_batch(shard, out);
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * shard.size());
-}
-BENCHMARK(BM_CoverageShardViewGainBatch);
-
-// --- incremental coverage gains ---------------------------------------------
-//
-// The coordinator's filter step re-scores every candidate after each add.
-// Plain coverage pays O(|set|) per score; the inverted-index oracle answers
-// from stored residuals in O(1) and pays for the scan once per *covered
-// element* instead of once per (round × candidate). One iteration = a full
-// k-round filter, including (for the incremental case) building the index.
+// The coordinator's filter step re-scores every candidate after each add,
+// paying O(|set|) per score. One iteration = a full k-round filter.
 
 constexpr std::size_t kFilterRounds = 16;
 
-template <typename OracleT>
-void run_filter_rounds(OracleT& oracle, std::span<const ElementId> candidates,
+void run_filter_rounds(CoverageOracle& oracle,
+                       std::span<const ElementId> candidates,
                        std::vector<double>& out) {
   for (std::size_t r = 0; r < kFilterRounds; ++r) {
     oracle.gain_batch(candidates, out);
@@ -322,20 +237,6 @@ void BM_CoverageCoordinatorFilter(benchmark::State& state) {
                           candidates.size());
 }
 BENCHMARK(BM_CoverageCoordinatorFilter);
-
-void BM_IncrementalCoordinatorFilter(benchmark::State& state) {
-  const auto sets = shared_sets();
-  const auto candidates = ids(sets->num_sets());
-  std::vector<double> out(candidates.size());
-  for (auto _ : state) {
-    IncrementalCoverageOracle oracle(sets);  // index build is part of the cost
-    run_filter_rounds(oracle, candidates, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * kFilterRounds *
-                          candidates.size());
-}
-BENCHMARK(BM_IncrementalCoordinatorFilter);
 
 // --- exemplar clustering ----------------------------------------------------
 
@@ -362,22 +263,6 @@ void BM_ExemplarExactGainBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * xs.size());
 }
 BENCHMARK(BM_ExemplarExactGainBatch);
-
-void BM_ExemplarExactGainBatchParallel(benchmark::State& state) {
-  ExemplarOracle oracle(shared_points(), 2.0);
-  const auto xs = stride_ids(kExemplarBatch, 101, oracle.ground_size());
-  std::vector<double> out(xs.size());
-  dist::ThreadPool pool;
-  auto options = parallel_options(pool);
-  options.grain = 16;  // each index is an O(n·dim) kernel tile's worth
-  for (auto _ : state) {
-    evaluate_gains(oracle, xs, out, options);
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * xs.size());
-}
-BENCHMARK(BM_ExemplarExactGainBatchParallel);
 
 void BM_ExemplarSampledGain(benchmark::State& state) {
   util::Rng rng(3);
@@ -468,21 +353,6 @@ void BM_ProbCoverageGainBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ProbCoverageGainBatch);
 
-void BM_ProbCoverageGainBatchParallel(benchmark::State& state) {
-  ProbCoverageOracle oracle(shared_click_model());
-  const auto xs = stride_ids(kProbBatch, 13, oracle.ground_size());
-  std::vector<double> out(xs.size());
-  dist::ThreadPool pool;
-  const auto options = parallel_options(pool);
-  for (auto _ : state) {
-    evaluate_gains(oracle, xs, out, options);
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * xs.size());
-}
-BENCHMARK(BM_ProbCoverageGainBatchParallel);
-
 // --- saturated coverage -----------------------------------------------------
 
 SaturatedCoverageOracle saturated_oracle() {
@@ -519,22 +389,6 @@ void BM_SaturatedGainBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * xs.size());
 }
 BENCHMARK(BM_SaturatedGainBatch);
-
-void BM_SaturatedGainBatchParallel(benchmark::State& state) {
-  auto oracle = saturated_oracle();
-  const auto xs = stride_ids(kSaturatedBatch, 17, oracle.ground_size());
-  std::vector<double> out(xs.size());
-  dist::ThreadPool pool;
-  auto options = parallel_options(pool);
-  options.grain = 32;
-  for (auto _ : state) {
-    evaluate_gains(oracle, xs, out, options);
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * xs.size());
-}
-BENCHMARK(BM_SaturatedGainBatchParallel);
 
 // --- selectors and partitioners (unchanged shapes) --------------------------
 
@@ -824,7 +678,7 @@ std::unique_ptr<CertifiedMaintainer> run_churn_workload(std::size_t steps) {
 
 struct GainBenchSpec {
   const char* objective;
-  const char* mode;  // "scalar" | "batch" | "parallel_batch"
+  const char* mode;  // "scalar" | "batch"
   double evals_per_iter;
 };
 
@@ -834,23 +688,15 @@ const std::map<std::string, GainBenchSpec>& gain_bench_specs() {
       {"BM_CoverageGain", {"coverage", "scalar", 1}},
       {"BM_CoverageGainBatch",
        {"coverage", "batch", double(kCoverageBatch)}},
-      {"BM_CoverageGainBatchParallel",
-       {"coverage", "parallel_batch", double(kCoverageBatch)}},
       {"BM_ProbCoverageGain", {"prob_coverage", "scalar", 1}},
       {"BM_ProbCoverageGainBatch",
        {"prob_coverage", "batch", double(kProbBatch)}},
-      {"BM_ProbCoverageGainBatchParallel",
-       {"prob_coverage", "parallel_batch", double(kProbBatch)}},
       {"BM_ExemplarExactGain", {"exemplar", "scalar", 1}},
       {"BM_ExemplarExactGainBatch",
        {"exemplar", "batch", double(kExemplarBatch)}},
-      {"BM_ExemplarExactGainBatchParallel",
-       {"exemplar", "parallel_batch", double(kExemplarBatch)}},
       {"BM_SaturatedGain", {"saturated_coverage", "scalar", 1}},
       {"BM_SaturatedGainBatch",
        {"saturated_coverage", "batch", double(kSaturatedBatch)}},
-      {"BM_SaturatedGainBatchParallel",
-       {"saturated_coverage", "parallel_batch", double(kSaturatedBatch)}},
   };
   return specs;
 }
@@ -878,7 +724,7 @@ void write_gain_json(const std::string& path,
                      const std::vector<benchmark::BenchmarkReporter::Run>& runs) {
   // objective -> mode -> wall-clock ns per oracle evaluation.
   std::map<std::string, std::map<std::string, double>> ns_per_eval;
-  // Per-iteration real time of the shard-view / incremental benchmarks.
+  // Per-iteration real time of every benchmark (the kernels section).
   std::map<std::string, double> raw_ns;
   for (const auto& run : runs) {
     raw_ns[run.benchmark_name()] = run.GetAdjustedRealTime();
@@ -905,80 +751,13 @@ void write_gain_json(const std::string& path,
       out << "\"" << mode << "\": " << ns;
     }
     const auto scalar = modes.find("scalar");
-    if (scalar != modes.end()) {
-      for (const char* mode : {"batch", "parallel_batch"}) {
-        const auto m = modes.find(mode);
-        if (m != modes.end() && m->second > 0.0) {
-          out << ", \"" << mode << "_speedup\": " << scalar->second / m->second;
-        }
-      }
+    const auto batch = modes.find("batch");
+    if (scalar != modes.end() && batch != modes.end() && batch->second > 0.0) {
+      out << ", \"batch_speedup\": " << scalar->second / batch->second;
     }
     out << "}";
   }
   out << "\n  },\n";
-
-  // Worker memory: measured at write time on the same dblp-like instance the
-  // benchmarks ran on — clone state vs compacted views of growing shards.
-  // View state scales with the universe slice the shard *touches*, so the
-  // table shows the crossover: small shards (many machines) are far below
-  // the clone's full covered bitmap; once a shard reaches most of the
-  // universe the view's richer per-element bookkeeping overtakes the 1-byte
-  // bitmap and clone is the better mode.
-  {
-    CoverageOracle oracle(shared_sets());
-    const std::size_t clone_bytes = oracle.clone()->state_bytes();
-    out << "  \"shard_view\": {\n"
-        << "    \"objective\": \"coverage\",\n"
-        << "    \"ground_size\": " << oracle.ground_size() << ",\n"
-        << "    \"bench_shard_size\": " << kShardSize << ",\n"
-        << "    \"clone_state_bytes\": " << clone_bytes << ",\n"
-        << "    \"view_state_bytes_by_shard\": {";
-    bool first_shard = true;
-    for (const std::size_t shard_size :
-         {std::size_t{64}, std::size_t{256}, std::size_t{1'024}, kShardSize}) {
-      const auto shard = stride_ids(shard_size, 37, oracle.ground_size());
-      if (!first_shard) out << ", ";
-      first_shard = false;
-      out << "\"" << shard_size
-          << "\": " << oracle.shard_view(shard)->state_bytes();
-    }
-    out << "}";
-    const auto clone_build = raw_ns.find("BM_CoverageClone");
-    const auto view_build = raw_ns.find("BM_CoverageShardViewBuild");
-    if (clone_build != raw_ns.end() && view_build != raw_ns.end()) {
-      out << ",\n    \"clone_build_ns\": " << clone_build->second
-          << ",\n    \"view_build_ns\": " << view_build->second;
-    }
-    const auto clone_gain = raw_ns.find("BM_CoverageCloneGainBatchOnShard");
-    const auto view_gain = raw_ns.find("BM_CoverageShardViewGainBatch");
-    if (clone_gain != raw_ns.end() && view_gain != raw_ns.end()) {
-      out << ",\n    \"clone_gain_ns_per_eval\": "
-          << clone_gain->second / double(kShardSize)
-          << ",\n    \"view_gain_ns_per_eval\": "
-          << view_gain->second / double(kShardSize);
-    }
-    out << "\n  },\n";
-  }
-
-  // Coordinator filter: plain O(|set|)-per-score coverage vs the
-  // inverted-index incremental oracle (index build included in its time).
-  {
-    out << "  \"incremental_gain\": {\n"
-        << "    \"objective\": \"coverage\",\n"
-        << "    \"filter_rounds\": " << kFilterRounds;
-    const auto plain = raw_ns.find("BM_CoverageCoordinatorFilter");
-    const auto incr = raw_ns.find("BM_IncrementalCoordinatorFilter");
-    if (plain != raw_ns.end() && incr != raw_ns.end()) {
-      const double evals = double(kFilterRounds) *
-                           double(shared_sets()->num_sets());
-      out << ",\n    \"plain_ns_per_eval\": " << plain->second / evals
-          << ",\n    \"incremental_ns_per_eval\": " << incr->second / evals;
-      if (incr->second > 0.0) {
-        out << ",\n    \"filter_speedup\": " << plain->second / incr->second;
-      }
-    }
-    out << "\n  },\n";
-  }
 
   // Kernel layer: exemplar gain_batch ns/eval per dim × mode (see the
   // BM_KernelGainBatch comment for what each ratio isolates).
@@ -1024,9 +803,8 @@ void write_gain_json(const std::string& path,
   // at write time. Both loads start from a cold page cache (fadvise
   // DONTNEED), so "load + first shard round" is the honest first-round
   // latency: the heap path must read and copy all ~240 MB up front, the
-  // mapped path faults in only the pages its shard touches. Worker state is
-  // the other axis: a clone drags the full covered bitmap (O(corpus)), a
-  // shard view carries only its slice (O(shard)).
+  // mapped path faults in only the pages its shard touches. The worker's
+  // state is its clone's covered byte map: one byte per universe element.
   {
     const std::string corpus = mmap_corpus_path();
     ensure_mmap_corpus(corpus);
@@ -1037,7 +815,6 @@ void write_gain_json(const std::string& path,
 
     double heap_load_s = 0.0;
     double heap_round_s = 0.0;
-    std::size_t clone_bytes = 0;
     {
       util::evict_file_cache(corpus);
       util::Timer load_timer;
@@ -1048,12 +825,11 @@ void write_gain_json(const std::string& path,
       const auto worker = oracle.shard_view(shard);
       worker->gain_batch(shard, heap_gains);
       heap_round_s = round_timer.elapsed_seconds();
-      clone_bytes = oracle.clone()->state_bytes();
     }
 
     double map_load_s = 0.0;
     double map_round_s = 0.0;
-    std::size_t view_bytes = 0;
+    std::size_t worker_bytes = 0;
     {
       util::evict_file_cache(corpus);
       util::Timer load_timer;
@@ -1062,7 +838,7 @@ void write_gain_json(const std::string& path,
       const CoverageOracle oracle(sets);
       util::Timer round_timer;
       const auto worker = oracle.shard_view(shard);
-      view_bytes = worker->state_bytes();
+      worker_bytes = worker->state_bytes();
       worker->gain_batch(shard, mapped_gains);
       map_round_s = round_timer.elapsed_seconds();
     }
@@ -1080,11 +856,7 @@ void write_gain_json(const std::string& path,
         << ",\n"
         << "    \"first_round_cold_mmap_s\": " << map_load_s + map_round_s
         << ",\n"
-        << "    \"clone_state_bytes\": " << clone_bytes << ",\n"
-        << "    \"peak_worker_state_bytes\": " << view_bytes << ",\n"
-        << "    \"corpus_over_shard_state_ratio\": "
-        << (view_bytes > 0 ? double(clone_bytes) / double(view_bytes) : 0.0)
-        << ",\n"
+        << "    \"peak_worker_state_bytes\": " << worker_bytes << ",\n"
         << "    \"gains_identical\": "
         << (heap_gains == mapped_gains ? "true" : "false") << "\n  },\n";
   }
@@ -1281,61 +1053,8 @@ void write_gain_json(const std::string& path,
         << ", \"push_us_per_arrival\": " << window_s * 1e6 / double(kArrivals)
         << ", \"kept\": " << wstats.kept
         << ", \"resolves\": " << wstats.resolves
-        << ", \"resolve_rate\": " << wstats.resolve_rate() << "}\n  },\n";
+        << ", \"resolve_rate\": " << wstats.resolve_rate() << "}\n  }\n}\n";
   }
-
-  // Parallel scaling of the exemplar oracle-internal cost-point split.
-  {
-    out << "  \"parallel\": {\n"
-        << "    \"hardware_concurrency\": "
-        << std::thread::hardware_concurrency();
-    const auto batch = raw_ns.find("BM_ExemplarExactGainBatch");
-    const auto par = raw_ns.find("BM_ExemplarExactGainBatchParallel");
-    if (batch != raw_ns.end() && par != raw_ns.end() && par->second > 0.0) {
-      out << ",\n    \"exemplar_batch_ns_per_eval\": "
-          << batch->second / double(kExemplarBatch)
-          << ",\n    \"exemplar_parallel_ns_per_eval\": "
-          << par->second / double(kExemplarBatch)
-          << ",\n    \"parallel_scaling\": " << batch->second / par->second;
-    }
-    out << "\n  }\n}\n";
-  }
-}
-
-// The bench-smoke scaling assertion: on a host with >= 8 hardware threads
-// the cost-dimension-parallel exemplar batch must beat the serial batch by
-// >= 2x. Returns nonzero on violation; skipped when either benchmark did
-// not run (filtered out) or the host is too narrow to scale.
-int check_parallel_scaling(
-    const std::vector<benchmark::BenchmarkReporter::Run>& runs) {
-  const unsigned hc = std::thread::hardware_concurrency();
-  if (hc < 8) {
-    // Narrow container (CI runners are often 1-4 cores): scaling cannot be
-    // demonstrated, so the gate is skipped *explicitly* rather than failing.
-    std::fprintf(stderr,
-                 "SKIP: parallel-scaling gate needs >= 8 hardware threads, "
-                 "host has %u\n",
-                 hc);
-    return 0;
-  }
-  double batch = 0.0, par = 0.0;
-  for (const auto& run : runs) {
-    if (run.benchmark_name() == "BM_ExemplarExactGainBatch") {
-      batch = run.GetAdjustedRealTime();
-    } else if (run.benchmark_name() == "BM_ExemplarExactGainBatchParallel") {
-      par = run.GetAdjustedRealTime();
-    }
-  }
-  if (batch <= 0.0 || par <= 0.0) return 0;
-  const double scaling = batch / par;
-  if (scaling < 2.0) {
-    std::fprintf(stderr,
-                 "FAIL: exemplar parallel batch scaling %.2fx < 2x on %u "
-                 "hardware threads\n",
-                 scaling, hc);
-    return 1;
-  }
-  return 0;
 }
 
 // The prob_coverage batch regression gate: whenever the scalar and batch
@@ -1461,7 +1180,6 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   if (!json_path.empty()) write_gain_json(json_path, reporter.collected());
-  return check_parallel_scaling(reporter.collected()) |
-         check_prob_batch_speedup(reporter.collected()) |
+  return check_prob_batch_speedup(reporter.collected()) |
          check_lazy_pruning() | check_dynamic_churn();
 }

@@ -2,9 +2,9 @@
 // algorithm in the library against it, and print the solution quality and
 // the distributed-execution accounting.
 //
-//   $ build/examples/bds_cli --dataset synthetic --algorithm hybrid \
+//   $ build/examples/bds_cli --dataset synthetic --algorithm hybrid
 //         --k 50 --rounds 2 --eps 0.1
-//   $ build/examples/bds_cli --dataset dblp --nodes 30000 \
+//   $ build/examples/bds_cli --dataset dblp --nodes 30000
 //         --algorithm bicriteria --k 10 --output 20 --save dblp.bds
 //   $ build/examples/bds_cli --load dblp.bds --algorithm randgreedi --k 10
 //

@@ -77,10 +77,9 @@ void handle_request(const wire::Frame& frame, const WorkerState& state) {
     return;
   }
 
-  // Rebuild the coordinator's oracle state: same central construction,
-  // same committed prefix replayed in order.
-  const std::unique_ptr<bds::SubmodularOracle> central =
-      bds::detail::make_central_oracle(*state.proto, plan.incremental_central);
+  // Rebuild the coordinator's oracle state: a clone of the prototype with
+  // the same committed prefix replayed in order.
+  const std::unique_ptr<bds::SubmodularOracle> central = state.proto->clone();
   for (const bds::ElementId x : plan.committed) central->add(x);
 
   // Rehydrate the shard's warm-start certificates into a local store; the
@@ -100,7 +99,6 @@ void handle_request(const wire::Frame& frame, const WorkerState& state) {
     config.threshold = plan.threshold;
     config.budget = plan.budget;
     config.central = central.get();
-    config.worker_oracle = plan.worker_oracle;
     fn = bds::detail::make_threshold_worker(config);
   } else {
     bds::detail::MachineWorkerConfig config;
@@ -111,7 +109,6 @@ void handle_request(const wire::Frame& frame, const WorkerState& state) {
     config.seed = plan.seed;
     config.round = plan.round;
     config.central = central.get();
-    config.worker_oracle = plan.worker_oracle;
     if (plan.lazy_bounds) config.bounds = &bounds;
     fn = bds::detail::make_machine_worker(config);
   }

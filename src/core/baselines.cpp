@@ -145,9 +145,8 @@ DistributedResult parallel_alg(const SubmodularOracle& proto,
   program.stop_when_no_gain = config.stop_when_no_gain;
   // No per-round selection: summaries accumulate into the candidate pool;
   // after round r a single lazy greedy k filters the pool (this union is
-  // the largest candidate set any coordinator stage sees — O(m·k/ε) ids —
-  // so it benefits most from the parallel batch evaluator), competing
-  // against the best single machine summary.
+  // the largest candidate set any coordinator stage sees — O(m·k/ε) ids),
+  // competing against the best single machine summary.
   program.merge.rule = MergeRule::kBestOfMachines;
   program.merge.probe_prefix = std::numeric_limits<std::size_t>::max();
   program.merge.final_filter_budget = config.k;

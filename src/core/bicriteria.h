@@ -58,8 +58,8 @@ struct BicriteriaConfig {
   // Machines estimating on independent samples (see MachineOracleFactory).
   MachineOracleFactory machine_oracle_factory;
 
-  // Execution-environment knobs: threads, seed, worker oracle construction,
-  // incremental/parallel coordinator evaluation, fault injection, tracing.
+  // Execution-environment knobs: threads, seed, transport, fault
+  // injection, tracing.
   RuntimeOptions runtime;
 };
 

@@ -19,9 +19,8 @@
 //                     computed (tagged with the committed-prefix length);
 //                     later rounds seed their heaps from it instead of
 //                     re-scanning. Entries whose prefix equals the current
-//                     committed prefix are *exact* (the shard-view /
-//                     incremental-oracle bit-identical-gains contract) and
-//                     need no refresh at all.
+//                     committed prefix are *exact* (clones give
+//                     bit-identical gains) and need no refresh at all.
 //  * SingletonBoundCache — corpus-lifetime, thread-safe cache of prefix-0
 //                     singleton gains f({x}), shared across queries in the
 //                     serve layer so a cache-miss query warm-starts from

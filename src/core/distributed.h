@@ -21,17 +21,6 @@ enum class MachineSelector {
   kStochasticGreedy,  // §4.2 sampled variant for expensive oracles
 };
 
-// How a round's worker obtains its oracle when no MachineOracleFactory is
-// set. Both produce bit-identical selections (the shard-view contract in
-// objectives/submodular.h); they differ only in worker memory: a clone
-// carries O(ground)-sized mutable state, a compacted view carries O(shard).
-// Objectives without a compacted representation silently fall back to
-// cloning under kShardView.
-enum class WorkerOracleMode {
-  kClone,      // PR-1 behaviour: clone the coordinator oracle per machine
-  kShardView,  // default: shard-compacted view, O(shard) worker state
-};
-
 // Optional hook: build machine i's *fresh* (empty-set) oracle. When unset,
 // machines clone the coordinator's oracle — for sampled oracles, supply a
 // factory so each machine estimates on its own independent sample (§4.2).

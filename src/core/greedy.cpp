@@ -44,7 +44,7 @@ GreedyResult greedy(SubmodularOracle& oracle,
       remaining_idx.push_back(i);
     }
     gains.resize(remaining.size());
-    evaluate_gains(oracle, remaining, gains, options.batch);
+    oracle.gain_batch(remaining, gains);
 
     // Argmax in pool order — ties break toward the earlier candidate,
     // exactly as the scalar scan did.
@@ -122,7 +122,7 @@ GreedyResult lazy_greedy_bounded(SubmodularOracle& oracle,
       }
     }
     std::vector<double> init_gains(missing.size());
-    evaluate_gains(oracle, missing, init_gains, options.batch);
+    oracle.gain_batch(missing, init_gains);
     performed += missing.size();
     for (std::size_t m = 0; m < missing.size(); ++m) {
       items.push_back(detail::BoundHeap::Item{init_gains[m], missing_idx[m],
@@ -199,8 +199,7 @@ GreedyResult stochastic_greedy(SubmodularOracle& oracle,
       std::swap(pool[i], pool[j]);
     }
     gains.resize(s);
-    evaluate_gains(oracle, std::span<const ElementId>(pool.data(), s), gains,
-                   options.batch);
+    oracle.gain_batch(std::span<const ElementId>(pool.data(), s), gains);
     double best_gain = 0.0;
     std::size_t best_idx = live;
     for (std::size_t i = 0; i < s; ++i) {

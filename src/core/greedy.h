@@ -19,7 +19,6 @@
 
 #include <cstdint>
 
-#include "core/batch_eval.h"
 #include "core/bound_heap.h"
 #include "objectives/submodular.h"
 #include "util/element.h"
@@ -35,10 +34,6 @@ struct GreedyOptions {
   // Algorithm 2 as written always runs k' iterations; the experiments (and
   // any sane deployment) stop early, so callers choose.
   bool stop_when_no_gain = false;
-  // How candidate scans evaluate gains (serial batched by default; set
-  // batch.pool for parallel evaluation of large scans). Selections are
-  // bit-identical across all settings.
-  BatchEvalOptions batch;
 };
 
 struct GreedyResult {
@@ -87,11 +82,11 @@ struct LazyGreedyStats {
 // `bounds` (an exact gain recorded at prefix ≤ the oracle's current
 // committed-prefix length) skip the initial scan and enter the heap at
 // their stale bound; an entry whose prefix *equals* the current prefix is
-// exact and needs no refresh at all (the shard-view / incremental-oracle
-// bit-identical-gains contract). Selection is bit-identical to greedy() and
-// lazy_greedy() in all cases — bounds only change how many evaluations it
-// takes to find the same argmax. With bounds == nullptr and stats ==
-// nullptr this *is* lazy_greedy: same evaluations, same order, same bits.
+// exact and needs no refresh at all (clones give bit-identical gains).
+// Selection is bit-identical to greedy() and lazy_greedy() in all cases —
+// bounds only change how many evaluations it takes to find the same
+// argmax. With bounds == nullptr and stats == nullptr this *is*
+// lazy_greedy: same evaluations, same order, same bits.
 // The committed-prefix clock is oracle.current_set().size().
 GreedyResult lazy_greedy_bounded(SubmodularOracle& oracle,
                                  std::span<const ElementId> candidates,
@@ -105,8 +100,6 @@ struct StochasticGreedyOptions {
   // still-unselected candidates (§4.2 fixes c = 3).
   double c = 3.0;
   bool stop_when_no_gain = false;
-  // Gain-evaluation path for the per-pick sample scan (see GreedyOptions).
-  BatchEvalOptions batch;
 };
 
 // Stochastic ("lazier than lazy") greedy.

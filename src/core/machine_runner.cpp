@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "objectives/coverage_incremental.h"
-
 namespace bds::detail {
 
 GreedyResult run_selector(SubmodularOracle& oracle,
@@ -45,10 +43,8 @@ dist::Cluster::WorkerFn make_machine_worker(
       // so local gains are marginals on top of it (Algorithm 2's inputs).
       oracle = (*config.factory)(machine);
       for (const ElementId x : config.central->current_set()) oracle->add(x);
-    } else if (config.worker_oracle == WorkerOracleMode::kShardView) {
-      oracle = config.central->shard_view(shard);
     } else {
-      oracle = config.central->clone();
+      oracle = config.central->shard_view(shard);
     }
     util::Rng rng = machine_rng(config.seed, config.round, machine);
     dist::WorkerOutput output;
@@ -88,9 +84,7 @@ dist::Cluster::WorkerFn make_threshold_worker(
   assert(config.central != nullptr);
   return [config](std::size_t,
                   std::span<const ElementId> shard) -> dist::WorkerOutput {
-    auto oracle = config.worker_oracle == WorkerOracleMode::kShardView
-                      ? config.central->shard_view(shard)
-                      : config.central->clone();
+    auto oracle = config.central->shard_view(shard);
     dist::WorkerOutput output;
     for (const ElementId x : shard) {
       if (output.summary.size() >= config.budget) break;
@@ -103,14 +97,6 @@ dist::Cluster::WorkerFn make_threshold_worker(
     output.state_bytes = oracle->state_bytes();
     return output;
   };
-}
-
-std::unique_ptr<SubmodularOracle> make_central_oracle(
-    const SubmodularOracle& proto, bool incremental_gains) {
-  if (incremental_gains) {
-    if (auto upgraded = make_incremental_coverage(proto)) return upgraded;
-  }
-  return proto.clone();
 }
 
 }  // namespace bds::detail

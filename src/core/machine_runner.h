@@ -33,10 +33,8 @@ struct MachineWorkerConfig {
   const SubmodularOracle* central = nullptr;
   // Optional factory for independent machine oracles; when set, the fresh
   // oracle is seeded with central->current_set() before selection.
+  // Otherwise the machine runs central->shard_view(shard), a clone.
   const MachineOracleFactory* factory = nullptr;
-  // Clone vs shard-compacted view (ignored when `factory` is set). Both are
-  // bit-identical over the shard; see WorkerOracleMode.
-  WorkerOracleMode worker_oracle = WorkerOracleMode::kShardView;
   // Cross-round lazy-bound store (core/bound_heap.h). When set and the
   // selector is kLazyGreedy (and no factory), the worker seeds its heap
   // from these certificates and exports the exact gains it computed at the
@@ -51,8 +49,8 @@ struct MachineWorkerConfig {
 // invoked concurrently — possibly more than once per machine when the
 // cluster retries a faulted attempt, which is safe because it is a pure
 // function of (machine, shard) — and it only reads the coordinator oracle
-// (clone or shard view) and the config, both of which must outlive the
-// round.
+// (each machine works on its own clone) and the config, both of which must
+// outlive the round.
 dist::Cluster::WorkerFn make_machine_worker(const MachineWorkerConfig& config);
 
 // GreedyScaling's per-round worker: keep shard items whose marginal gain on
@@ -61,7 +59,6 @@ struct ThresholdWorkerConfig {
   double threshold = 0.0;
   std::size_t budget = 0;
   const SubmodularOracle* central = nullptr;
-  WorkerOracleMode worker_oracle = WorkerOracleMode::kShardView;
 };
 
 // Same contract as make_machine_worker: pure in (machine, shard), safe to
@@ -69,14 +66,6 @@ struct ThresholdWorkerConfig {
 // bds_worker so both transports execute the identical accept loop.
 dist::Cluster::WorkerFn make_threshold_worker(
     const ThresholdWorkerConfig& config);
-
-// Coordinator oracle for a distributed run: a clone of `proto`, upgraded to
-// inverted-index incremental gains (objectives/coverage_incremental.h) when
-// requested and the objective supports it (unweighted coverage). The
-// upgrade is bit-identical — same gains, same evaluation accounting — so it
-// never changes selections, only the filter's cost per query.
-std::unique_ptr<SubmodularOracle> make_central_oracle(
-    const SubmodularOracle& proto, bool incremental_gains);
 
 // Deterministic per-(seed, round, machine) RNG stream.
 util::Rng machine_rng(std::uint64_t seed, std::size_t round,

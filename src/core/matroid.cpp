@@ -188,9 +188,6 @@ DistributedResult rand_greedi_matroid(
   program.id = "rand-greedi-matroid";
   program.machines = machines;
   program.merge.rule = MergeRule::kBestOfMachines;
-  program.central_factory = [](const SubmodularOracle& p, bool) {
-    return p.clone();  // no incremental-gains upgrade under a matroid
-  };
   program.next_round =
       [&proto, &constraint, rank](const EngineProgress& progress)
       -> std::optional<RoundSpec> {

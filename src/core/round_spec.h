@@ -178,13 +178,6 @@ struct RoundProgram {
   // selector workers only. Must outlive the engine run.
   const MachineOracleFactory* oracle_factory = nullptr;
 
-  // Coordinator oracle override; the default builds
-  // detail::make_central_oracle(proto, incremental_gains). The matroid
-  // driver overrides it with a plain clone.
-  std::function<std::unique_ptr<SubmodularOracle>(const SubmodularOracle&,
-                                                  bool incremental_gains)>
-      central_factory;
-
   std::function<std::optional<RoundSpec>(const EngineProgress&)> next_round;
 };
 

@@ -1,7 +1,7 @@
 // bds::RuntimeOptions — the one place for execution-environment knobs.
 //
 // Every distributed algorithm config embeds these execution-environment
-// knobs (threads, seed, worker_oracle, ...) as a `runtime` member — one
+// knobs (threads, seed, transport, ...) as a `runtime` member — one
 // vocabulary for "how a run executes" shared by every algorithm, as opposed
 // to the per-algorithm "what to compute" fields beside it.
 //
@@ -46,10 +46,6 @@ struct RuntimeOptions {
   std::size_t threads = 0;   // simulator host threads; 0 = hardware default
   std::uint64_t seed = 1;    // partitioning / stochastic-selector seed
 
-  // --- algorithm-independent executor knobs (all bit-identical choices) ---
-  WorkerOracleMode worker_oracle = WorkerOracleMode::kShardView;
-  bool incremental_gains = false;  // coordinator O(1) coverage gains
-  bool parallel_central = false;   // parallel coordinator batch evaluation
   // Harness preference: when the dataset comes from a file, mmap it
   // zero-copy (data/io.h map_*) instead of heap loading it. Selections are
   // bit-identical either way; this only changes where the CSR bytes live.

@@ -11,8 +11,8 @@
 //    accepts the legacy v1 streamed format (parse-and-copy).
 //  * map_* — zero-copy: the file is mmap'd read-only (util/mmap.h) and the
 //    CSR arrays alias the mapping, so load time is O(1) and a process only
-//    pays resident memory for the pages it actually touches — workers
-//    evaluating a compacted shard view stay O(shard). v2 files only; v1
+//    pays resident memory for the pages it actually touches: the CSR pages
+//    of the sets a worker evaluates. v2 files only; v1
 //    files get an error telling the caller to re-encode with bds_convert.
 //
 // Heap-loaded and mapped objects are backed by the identical bytes, so

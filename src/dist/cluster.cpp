@@ -150,7 +150,7 @@ Cluster::Cluster(std::size_t machines, const ClusterOptions& options)
 }
 
 Cluster::Cluster(std::size_t machines, std::size_t threads)
-    : Cluster(machines, ClusterOptions{threads, {}, {}, {}}) {}
+    : Cluster(machines, ClusterOptions{threads, {}, {}, {}, nullptr}) {}
 
 MachineReport Cluster::run_machine(std::size_t round, std::size_t machine,
                                    std::span<const ElementId> shard,

@@ -54,7 +54,7 @@ struct RoundWork;
 struct WorkerOutput {
   std::vector<ElementId> summary;  // elements sent back to the coordinator
   std::uint64_t oracle_evals = 0;  // function evaluations spent by the worker
-  // Heap bytes of the worker's oracle state (clone or compacted view) —
+  // Heap bytes of the worker's oracle state (its clone) —
   // what materializing this machine cost in memory.
   std::uint64_t state_bytes = 0;
   // Lazy-bound certificates (core/bound_heap.h): exact gains this worker
@@ -107,9 +107,8 @@ struct RoundStats {
   double sum_machine_seconds = 0.0;
   std::uint64_t max_machine_items = 0;
   // Worker oracle memory: bytes of oracle state materialized across the
-  // round's machines, and the single largest worker footprint. Under clone
-  // workers these scale with m·|ground-set state|; under shard views they
-  // scale with the scattered shards.
+  // round's machines, and the single largest worker footprint. Workers run
+  // clones, so these scale with m·|ground-set state|.
   std::uint64_t bytes_cloned = 0;
   std::uint64_t peak_worker_state_bytes = 0;
   // Fault/retry ledger: work burnt by failed attempts, re-executions,
@@ -245,12 +244,6 @@ class Cluster {
 
   const ExecutionStats& stats() const noexcept { return stats_; }
   ExecutionStats& mutable_stats() noexcept { return stats_; }
-
-  // The host thread pool backing the simulated machines. Between rounds it
-  // is idle, so the coordinator's filter stage may borrow it for parallel
-  // batch evaluation (core/batch_eval.h) — on a real cluster the central
-  // machine's cores are likewise free while no round is in flight.
-  ThreadPool& pool() noexcept { return pool_; }
 
  private:
   // Executes one machine's attempt loop (faults, retries, backoff) and

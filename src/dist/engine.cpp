@@ -207,10 +207,7 @@ struct EngineRun {
         runtime(runtime_in) {}
 
   void initialize() {
-    central = program.central_factory
-                  ? program.central_factory(proto, runtime.incremental_gains)
-                  : detail::make_central_oracle(proto,
-                                                runtime.incremental_gains);
+    central = proto.clone();
     dist::ClusterOptions cluster_options = runtime.cluster_options();
     if (runtime.transport == TransportKind::kProcess) {
       dist::ProcessTransportConfig transport_config;
@@ -295,20 +292,17 @@ struct EngineRun {
 
   // Builds the round's work in both transport forms: the executable
   // closure (in-process backend) and the declarative WorkerPlan (process
-  // backend). Work that only exists as a closure — CustomWorkerFn rounds,
-  // factory-built machine oracles, custom central factories — is marked
-  // kCustom, which the process backend refuses with an error naming the
-  // machine; no registered algorithm hits that path.
+  // backend). Work that only exists as a closure — CustomWorkerFn rounds and
+  // factory-built machine oracles — is marked kCustom, which the process
+  // backend refuses with an error naming the machine; no registered
+  // algorithm hits that path.
   dist::RoundWork make_work(const RoundSpec& spec) const {
     dist::RoundWork work;
     work.plan.seed = runtime.seed;
     work.plan.round = rounds_completed;
-    work.plan.worker_oracle = runtime.worker_oracle;
-    work.plan.incremental_central = runtime.incremental_gains;
 
     const bool custom_oracles =
-        (program.oracle_factory != nullptr && *program.oracle_factory) ||
-        static_cast<bool>(program.central_factory);
+        program.oracle_factory != nullptr && *program.oracle_factory;
 
     if (const auto* selector = std::get_if<SelectorWorkerSpec>(&spec.worker)) {
       detail::MachineWorkerConfig config;
@@ -319,11 +313,7 @@ struct EngineRun {
       config.seed = runtime.seed;
       config.round = rounds_completed;
       config.central = central.get();
-      config.factory =
-          (program.oracle_factory != nullptr && *program.oracle_factory)
-              ? program.oracle_factory
-              : nullptr;
-      config.worker_oracle = runtime.worker_oracle;
+      config.factory = custom_oracles ? program.oracle_factory : nullptr;
       config.bounds =
           (lazy_active && selector->selector == MachineSelector::kLazyGreedy)
               ? &bounds
@@ -343,7 +333,6 @@ struct EngineRun {
       config.threshold = thresh->threshold;
       config.budget = thresh->budget;
       config.central = central.get();
-      config.worker_oracle = runtime.worker_oracle;
       work.fn = detail::make_threshold_worker(config);
       work.plan.kind = custom_oracles ? dist::WorkerPlanKind::kCustom
                                       : dist::WorkerPlanKind::kThreshold;
@@ -494,10 +483,7 @@ struct EngineRun {
   }
 
   void run_rounds() {
-    GreedyOptions central_options{program.stop_when_no_gain};
-    if (runtime.parallel_central) {
-      central_options.batch.pool = &cluster->pool();
-    }
+    const GreedyOptions central_options{program.stop_when_no_gain};
 
     for (;;) {
       EngineProgress progress;
@@ -573,10 +559,7 @@ struct EngineRun {
       // largest candidate set any coordinator stage sees, folded into the
       // last round's central stage.
       util::Timer final_timer;
-      GreedyOptions final_options{program.stop_when_no_gain};
-      if (runtime.parallel_central) {
-        final_options.batch.pool = &cluster->pool();
-      }
+      const GreedyOptions final_options{program.stop_when_no_gain};
       const std::uint64_t evals_before = central->evals();
       std::uint64_t final_avoided = 0;
       const GreedyResult filtered =

@@ -62,7 +62,7 @@ enum class WorkerPlanKind : std::uint8_t {
 // everything bds_worker needs to rebuild the in-process worker verbatim:
 // the selector knobs of detail::MachineWorkerConfig plus the coordinator's
 // committed set (replayed remotely so local gains are marginals on top of
-// the same S) and the oracle-mode flags that shape eval accounting.
+// the same S).
 struct WorkerPlan {
   WorkerPlanKind kind = WorkerPlanKind::kCustom;
 
@@ -78,11 +78,6 @@ struct WorkerPlan {
   // Shared execution context.
   std::uint64_t seed = 1;   // base seed; per-machine streams are derived
   std::size_t round = 0;    // round index, mixed into per-machine seeds
-  WorkerOracleMode worker_oracle = WorkerOracleMode::kShardView;
-  // Rebuild the remote coordinator oracle with incremental coverage gains
-  // (detail::make_central_oracle's upgrade) so worker clones/views match
-  // the in-process oracle type bit-for-bit.
-  bool incremental_central = false;
   // Lazy-bound substrate active for this round's workers: the request
   // carries shard-restricted warm-start certificates and the response
   // carries the worker's base-prefix bound exports.

@@ -195,8 +195,12 @@ class ProcessTransport final : public ClusterTransport {
   bool ensure_alive(std::size_t machine, WorkerProc& w) const {
     if (w.fd >= 0) return true;
 
+    // SOCK_CLOEXEC: pool threads spawn workers concurrently, so a sibling's
+    // fork can inherit this pair; without the flag its exec'd worker keeps
+    // our worker's end open, and a SIGKILL'd worker never reads as EOF.
+    // dup2 below clears the flag on the child's stdin/stdout copies.
     int sv[2];
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
+    if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0) {
       throw std::runtime_error(
           "transport worker " + std::to_string(machine) +
           ": socketpair failed: " + std::strerror(errno));

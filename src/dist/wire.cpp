@@ -161,30 +161,21 @@ IoStatus read_frame(int fd, Frame* frame, std::uint64_t* bytes,
 
 namespace {
 
-void encode_output_fields(std::ostream& out, const WorkerOutput& output) {
-  util::write_ids(out, "summary", output.summary);
-  out << "evals " << output.oracle_evals << '\n';
-  out << "state_bytes " << output.state_bytes << '\n';
-  util::write_ids(out, "bound_ids", output.bound_ids);
-  out << "bound_gains ";
-  util::write_reals(out, output.bound_gains);
-  out << '\n';
-  out << "evals_avoided " << output.evals_avoided << '\n';
-}
-
-WorkerOutput decode_output_fields(util::TokenReader& in) {
-  WorkerOutput output;
-  output.summary = in.ids("summary");
-  in.expect("evals");
-  output.oracle_evals = in.u64();
-  in.expect("state_bytes");
-  output.state_bytes = in.u64();
-  output.bound_ids = in.ids("bound_ids");
-  in.expect("bound_gains");
-  output.bound_gains = in.reals();
-  in.expect("evals_avoided");
-  output.evals_avoided = in.u64();
-  return output;
+// Reads an enum token, refusing values past `last`: a corrupt or skewed
+// frame must fail naming its field and peer, not reach a switch as an
+// enumerator that does not exist.
+template <typename Enum>
+Enum read_enum(util::TokenReader& in, Enum last, const char* field,
+               const std::string& context) {
+  const std::uint64_t token = in.u64();
+  const auto max = static_cast<std::uint64_t>(last);
+  if (token > max) {
+    throw std::invalid_argument(context + ": " + field + " " +
+                                std::to_string(token) +
+                                " is out of range (max " +
+                                std::to_string(max) + ")");
+  }
+  return static_cast<Enum>(token);
 }
 
 }  // namespace
@@ -233,9 +224,7 @@ std::string encode_request(const AttemptRequest& request) {
       << util::double_bits(plan.stochastic_c) << ' '
       << (plan.stop_when_no_gain ? 1 : 0) << ' ' << plan.budget << ' '
       << util::double_bits(plan.threshold) << ' ' << plan.seed << ' '
-      << plan.round << ' ' << static_cast<unsigned>(plan.worker_oracle)
-      << ' ' << (plan.incremental_central ? 1 : 0) << ' '
-      << (plan.lazy_bounds ? 1 : 0) << '\n';
+      << plan.round << ' ' << (plan.lazy_bounds ? 1 : 0) << '\n';
   util::write_ids(out, "committed", plan.committed);
   util::write_ids(out, "shard", request.shard);
   util::write_ids(out, "bound_ids", request.bound_ids);
@@ -257,19 +246,18 @@ AttemptRequest decode_request(std::string_view payload,
   request.round = in.size();
   request.machine = in.size();
   request.attempt = in.size();
-  request.fault = static_cast<FaultKind>(in.u64());
+  request.fault = read_enum(in, FaultKind::kStraggler, "fault", context);
   in.expect("plan");
   WorkerPlan& plan = request.plan;
-  plan.kind = static_cast<WorkerPlanKind>(in.u64());
-  plan.selector = static_cast<MachineSelector>(in.u64());
+  plan.kind = read_enum(in, WorkerPlanKind::kCustom, "plan kind", context);
+  plan.selector = read_enum(in, MachineSelector::kStochasticGreedy,
+                            "plan selector", context);
   plan.stochastic_c = in.real();
   plan.stop_when_no_gain = in.flag();
   plan.budget = in.size();
   plan.threshold = in.real();
   plan.seed = in.u64();
   plan.round = in.size();
-  plan.worker_oracle = static_cast<WorkerOracleMode>(in.u64());
-  plan.incremental_central = in.flag();
   plan.lazy_bounds = in.flag();
   plan.committed = in.ids("committed");
   request.shard = in.ids("shard");
@@ -283,9 +271,17 @@ AttemptRequest decode_request(std::string_view payload,
 }
 
 std::string encode_response(const AttemptResponse& response) {
+  const WorkerOutput& output = response.output;
   std::ostringstream out;
   out << "seconds " << util::double_bits(response.seconds) << '\n';
-  encode_output_fields(out, response.output);
+  util::write_ids(out, "summary", output.summary);
+  out << "evals " << output.oracle_evals << '\n';
+  out << "state_bytes " << output.state_bytes << '\n';
+  util::write_ids(out, "bound_ids", output.bound_ids);
+  out << "bound_gains ";
+  util::write_reals(out, output.bound_gains);
+  out << '\n';
+  out << "evals_avoided " << output.evals_avoided << '\n';
   out << "end\n";
   return std::move(out).str();
 }
@@ -294,54 +290,21 @@ AttemptResponse decode_response(std::string_view payload,
                                 const std::string& context) {
   util::TokenReader in(payload, context);
   AttemptResponse response;
+  WorkerOutput& output = response.output;
   in.expect("seconds");
   response.seconds = in.real();
-  response.output = decode_output_fields(in);
+  output.summary = in.ids("summary");
+  in.expect("evals");
+  output.oracle_evals = in.u64();
+  in.expect("state_bytes");
+  output.state_bytes = in.u64();
+  output.bound_ids = in.ids("bound_ids");
+  in.expect("bound_gains");
+  output.bound_gains = in.reals();
+  in.expect("evals_avoided");
+  output.evals_avoided = in.u64();
   in.expect("end");
   return response;
-}
-
-std::string encode_worker_output(const WorkerOutput& output) {
-  std::ostringstream out;
-  encode_output_fields(out, output);
-  out << "end\n";
-  return std::move(out).str();
-}
-
-WorkerOutput decode_worker_output(std::string_view payload,
-                                  const std::string& context) {
-  util::TokenReader in(payload, context);
-  WorkerOutput output = decode_output_fields(in);
-  in.expect("end");
-  return output;
-}
-
-std::string encode_machine_report(const MachineReport& report) {
-  std::ostringstream out;
-  encode_output_fields(out, report.worker);
-  out << "seconds " << util::double_bits(report.seconds) << '\n';
-  out << "attempts " << report.attempts << '\n';
-  out << "last_fault " << static_cast<unsigned>(report.last_fault) << '\n';
-  out << "status " << static_cast<unsigned>(report.status) << '\n';
-  out << "end\n";
-  return std::move(out).str();
-}
-
-MachineReport decode_machine_report(std::string_view payload,
-                                    const std::string& context) {
-  util::TokenReader in(payload, context);
-  MachineReport report;
-  report.worker = decode_output_fields(in);
-  in.expect("seconds");
-  report.seconds = in.real();
-  in.expect("attempts");
-  report.attempts = in.size();
-  in.expect("last_fault");
-  report.last_fault = static_cast<FaultKind>(in.u64());
-  in.expect("status");
-  report.status = static_cast<DeliveryStatus>(in.u64());
-  in.expect("end");
-  return report;
 }
 
 }  // namespace bds::dist::wire

@@ -8,9 +8,8 @@
 //
 // Payloads reuse the checkpoint serialization discipline (util/serialize.h):
 // whitespace-separated tokens, doubles as IEEE-754 bit patterns — so a
-// WorkerOutput or MachineReport decoded on the far side is bit-identical to
-// the one encoded, and `evals_avoided` metering stays comparable between
-// transports.
+// WorkerOutput decoded on the far side is bit-identical to the one encoded,
+// and `evals_avoided` metering stays comparable between transports.
 //
 // Session shape (coordinator drives; the worker only ever replies):
 //
@@ -42,7 +41,8 @@
 namespace bds::dist::wire {
 
 inline constexpr std::uint32_t kMagic = 0x57534442u;  // "BDSW" little-endian
-inline constexpr std::uint32_t kVersion = 1;
+// v2: the plan line lost its worker-oracle and incremental-central fields.
+inline constexpr std::uint32_t kVersion = 2;
 inline constexpr std::size_t kHeaderBytes = 20;
 // Largest payload either side accepts; a corrupted length field fails fast
 // instead of attempting a gigantic allocation.
@@ -93,7 +93,8 @@ IoStatus read_frame(int fd, Frame* frame, std::uint64_t* bytes,
 // ---------------------------------------------------------------------------
 // Payload codecs. Every decode takes a `context` that prefixes error
 // messages (the transport passes its worker name). Encodes are total;
-// decodes throw std::invalid_argument on malformed payloads.
+// decodes throw std::invalid_argument on malformed payloads, including an
+// enum token outside its type's range (the message names the field).
 
 // Handshake: everything a worker needs to provision itself.
 struct Hello {
@@ -137,14 +138,5 @@ struct AttemptResponse {
 std::string encode_response(const AttemptResponse& response);
 AttemptResponse decode_response(std::string_view payload,
                                 const std::string& context);
-
-// Building blocks, exposed for the round-trip tests: a WorkerOutput /
-// MachineReport survives encode -> decode bit-exactly (doubles included).
-std::string encode_worker_output(const WorkerOutput& output);
-WorkerOutput decode_worker_output(std::string_view payload,
-                                  const std::string& context);
-std::string encode_machine_report(const MachineReport& report);
-MachineReport decode_machine_report(std::string_view payload,
-                                    const std::string& context);
 
 }  // namespace bds::dist::wire

@@ -4,225 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "objectives/shard_view.h"
-
 namespace bds {
-
-namespace {
-
-// Shared build step for the coverage-family shard views: a sliced CSR over
-// exactly the universe elements reachable from the shard (rows keep their
-// original entry order — the bit-identical accumulation contract), the
-// parent's covered flags projected onto the slice, and the local→global
-// element map the weighted view needs to slice its weight vector.
-struct SlicedCoverage {
-  detail::ShardItemIndex index;
-  std::vector<std::uint32_t> offsets;          // index.size() + 1
-  std::vector<std::uint32_t> entries;          // local universe ids
-  std::vector<std::uint8_t> covered;           // per touched universe element
-  std::vector<std::uint32_t> local_to_global;  // per touched universe element
-
-  SlicedCoverage(const SetSystem& sets, std::span<const std::uint8_t> parent,
-                 std::span<const ElementId> shard)
-      : index(shard) {
-    std::size_t total = 0;
-    for (const ElementId item : index.items()) total += sets.set_size(item);
-    offsets.reserve(index.size() + 1);
-    offsets.push_back(0);
-    entries.reserve(total);
-    detail::U32LocalIdMap remap(total);
-    for (const ElementId item : index.items()) {
-      for (const std::uint32_t e : sets.set_items(item)) {
-        const auto next = static_cast<std::uint32_t>(covered.size());
-        const std::uint32_t local = remap.find_or_insert(e, next);
-        if (local == next) {  // first touch: assign the next local id
-          covered.push_back(parent[e]);
-          local_to_global.push_back(e);
-        }
-        entries.push_back(local);
-      }
-      offsets.push_back(static_cast<std::uint32_t>(entries.size()));
-    }
-  }
-
-  std::size_t bytes() const noexcept {
-    return offsets.capacity() * sizeof(std::uint32_t) +
-           entries.capacity() * sizeof(std::uint32_t) +
-           covered.capacity() * sizeof(std::uint8_t) + index.bytes();
-  }
-};
-
-// Compacted view of a CoverageOracle: O(shard) state, gains/adds over shard
-// members bit-identical to the parent's (integer counting over the same row
-// in the same order). Elements outside the shard throw.
-class CoverageShardView final : public SubmodularOracle {
- public:
-  CoverageShardView(const SetSystem& sets,
-                    std::span<const std::uint8_t> covered,
-                    std::span<const ElementId> shard)
-      : slice_(sets, covered, shard),
-        ground_size_(sets.num_sets()),
-        universe_size_(sets.universe_size()) {
-    slice_.local_to_global = {};  // only the weighted view needs the map
-  }
-
-  std::size_t ground_size() const noexcept override { return ground_size_; }
-  double max_value() const noexcept override {
-    return static_cast<double>(universe_size_);
-  }
-  bool supports_compacted_shard_view() const noexcept override {
-    return true;
-  }
-
- protected:
-  double do_gain(ElementId x) const override {
-    const std::size_t row = slice_.index.row_of(x);
-    if (row == detail::ShardItemIndex::npos) detail::throw_outside_shard(x);
-    std::uint64_t fresh = 0;
-    for (std::size_t e = slice_.offsets[row]; e < slice_.offsets[row + 1];
-         ++e) {
-      fresh += (slice_.covered[slice_.entries[e]] == 0);
-    }
-    return static_cast<double>(fresh);
-  }
-
-  void do_gain_batch(std::span<const ElementId> xs,
-                     std::span<double> out) const override {
-    const std::uint32_t* const offsets = slice_.offsets.data();
-    const std::uint32_t* const entries = slice_.entries.data();
-    const std::uint8_t* const covered = slice_.covered.data();
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      const std::size_t row = slice_.index.row_of(xs[i]);
-      if (row == detail::ShardItemIndex::npos) {
-        detail::throw_outside_shard(xs[i]);
-      }
-      std::uint64_t fresh = 0;
-      for (std::size_t e = offsets[row]; e < offsets[row + 1]; ++e) {
-        fresh += (covered[entries[e]] == 0);
-      }
-      out[i] = static_cast<double>(fresh);
-    }
-  }
-
-  double do_add(ElementId x) override {
-    const std::size_t row = slice_.index.row_of(x);
-    if (row == detail::ShardItemIndex::npos) detail::throw_outside_shard(x);
-    std::uint64_t fresh = 0;
-    for (std::size_t e = slice_.offsets[row]; e < slice_.offsets[row + 1];
-         ++e) {
-      std::uint8_t& flag = slice_.covered[slice_.entries[e]];
-      if (flag == 0) {
-        flag = 1;
-        ++fresh;
-      }
-    }
-    return static_cast<double>(fresh);
-  }
-
-  std::unique_ptr<SubmodularOracle> do_clone() const override {
-    return std::make_unique<CoverageShardView>(*this);
-  }
-
-  std::size_t do_state_bytes() const noexcept override {
-    return slice_.bytes();
-  }
-
- private:
-  SlicedCoverage slice_;
-  std::size_t ground_size_;
-  std::uint32_t universe_size_;
-};
-
-// Weighted counterpart: additionally slices the weight vector, so the gain
-// sum walks the same row in the same order over equal weight values —
-// bit-identical floating-point accumulation.
-class WeightedCoverageShardView final : public SubmodularOracle {
- public:
-  WeightedCoverageShardView(const SetSystem& sets,
-                            std::span<const std::uint8_t> covered,
-                            std::span<const double> weights,
-                            double total_weight,
-                            std::span<const ElementId> shard)
-      : slice_(sets, covered, shard),
-        ground_size_(sets.num_sets()),
-        total_weight_(total_weight) {
-    weights_.reserve(slice_.local_to_global.size());
-    for (const std::uint32_t e : slice_.local_to_global) {
-      weights_.push_back(weights[e]);
-    }
-    slice_.local_to_global = {};
-  }
-
-  std::size_t ground_size() const noexcept override { return ground_size_; }
-  double max_value() const noexcept override { return total_weight_; }
-  bool supports_compacted_shard_view() const noexcept override {
-    return true;
-  }
-
- protected:
-  double do_gain(ElementId x) const override {
-    const std::size_t row = slice_.index.row_of(x);
-    if (row == detail::ShardItemIndex::npos) detail::throw_outside_shard(x);
-    double fresh = 0.0;
-    for (std::size_t e = slice_.offsets[row]; e < slice_.offsets[row + 1];
-         ++e) {
-      const std::uint32_t el = slice_.entries[e];
-      if (slice_.covered[el] == 0) fresh += weights_[el];
-    }
-    return fresh;
-  }
-
-  void do_gain_batch(std::span<const ElementId> xs,
-                     std::span<double> out) const override {
-    const std::uint32_t* const offsets = slice_.offsets.data();
-    const std::uint32_t* const entries = slice_.entries.data();
-    const std::uint8_t* const covered = slice_.covered.data();
-    const double* const w = weights_.data();
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      const std::size_t row = slice_.index.row_of(xs[i]);
-      if (row == detail::ShardItemIndex::npos) {
-        detail::throw_outside_shard(xs[i]);
-      }
-      double fresh = 0.0;
-      for (std::size_t e = offsets[row]; e < offsets[row + 1]; ++e) {
-        const std::uint32_t el = entries[e];
-        if (covered[el] == 0) fresh += w[el];
-      }
-      out[i] = fresh;
-    }
-  }
-
-  double do_add(ElementId x) override {
-    const std::size_t row = slice_.index.row_of(x);
-    if (row == detail::ShardItemIndex::npos) detail::throw_outside_shard(x);
-    double fresh = 0.0;
-    for (std::size_t e = slice_.offsets[row]; e < slice_.offsets[row + 1];
-         ++e) {
-      const std::uint32_t el = slice_.entries[e];
-      if (slice_.covered[el] == 0) {
-        slice_.covered[el] = 1;
-        fresh += weights_[el];
-      }
-    }
-    return fresh;
-  }
-
-  std::unique_ptr<SubmodularOracle> do_clone() const override {
-    return std::make_unique<WeightedCoverageShardView>(*this);
-  }
-
-  std::size_t do_state_bytes() const noexcept override {
-    return slice_.bytes() + weights_.capacity() * sizeof(double);
-  }
-
- private:
-  SlicedCoverage slice_;
-  std::vector<double> weights_;  // per touched universe element
-  std::size_t ground_size_;
-  double total_weight_;
-};
-
-}  // namespace
 
 SetSystem::SetSystem(std::vector<std::vector<std::uint32_t>> sets,
                      std::uint32_t universe_size)
@@ -318,11 +100,6 @@ std::unique_ptr<SubmodularOracle> CoverageOracle::do_clone() const {
   return std::make_unique<CoverageOracle>(*this);
 }
 
-std::unique_ptr<SubmodularOracle> CoverageOracle::do_shard_view(
-    std::span<const ElementId> shard) const {
-  return std::make_unique<CoverageShardView>(*sets_, covered_, shard);
-}
-
 std::size_t CoverageOracle::do_state_bytes() const noexcept {
   return covered_.capacity() * sizeof(std::uint8_t);
 }
@@ -386,12 +163,6 @@ double WeightedCoverageOracle::do_add(ElementId x) {
 
 std::unique_ptr<SubmodularOracle> WeightedCoverageOracle::do_clone() const {
   return std::make_unique<WeightedCoverageOracle>(*this);
-}
-
-std::unique_ptr<SubmodularOracle> WeightedCoverageOracle::do_shard_view(
-    std::span<const ElementId> shard) const {
-  return std::make_unique<WeightedCoverageShardView>(
-      *sets_, covered_, *weights_, total_weight_, shard);
 }
 
 std::size_t WeightedCoverageOracle::do_state_bytes() const noexcept {

@@ -22,7 +22,7 @@ namespace bds {
 // constructor aliases externally owned arrays — in practice the sections of
 // an mmap'd dataset file (data/io.h `map_set_system`), held alive by the
 // `storage` handle. Every accessor reads through the same pointers either
-// way, so oracles and shard views are bit-identical across both backings.
+// way, so oracles are bit-identical across both backings.
 class SetSystem {
  public:
   // Builds from explicit sets. Duplicate entries within a set are
@@ -102,7 +102,6 @@ class CoverageOracle final : public SubmodularOracle {
   std::shared_ptr<const SetSystem> set_system_ptr() const noexcept {
     return sets_;
   }
-  bool supports_compacted_shard_view() const noexcept override { return true; }
 
  protected:
   double do_gain(ElementId x) const override;
@@ -110,8 +109,6 @@ class CoverageOracle final : public SubmodularOracle {
   void do_gain_batch(std::span<const ElementId> xs,
                      std::span<double> out) const override;
   std::unique_ptr<SubmodularOracle> do_clone() const override;
-  std::unique_ptr<SubmodularOracle> do_shard_view(
-      std::span<const ElementId> shard) const override;
   std::size_t do_state_bytes() const noexcept override;
 
  private:
@@ -132,7 +129,6 @@ class WeightedCoverageOracle final : public SubmodularOracle {
     return sets_->num_sets();
   }
   double max_value() const noexcept override { return total_weight_; }
-  bool supports_compacted_shard_view() const noexcept override { return true; }
 
  protected:
   double do_gain(ElementId x) const override;
@@ -140,8 +136,6 @@ class WeightedCoverageOracle final : public SubmodularOracle {
   void do_gain_batch(std::span<const ElementId> xs,
                      std::span<double> out) const override;
   std::unique_ptr<SubmodularOracle> do_clone() const override;
-  std::unique_ptr<SubmodularOracle> do_shard_view(
-      std::span<const ElementId> shard) const override;
   std::size_t do_state_bytes() const noexcept override;
 
  private:

@@ -4,136 +4,7 @@
 #include <string>
 #include <utility>
 
-#include "objectives/shard_view.h"
-
 namespace bds {
-
-namespace {
-
-// Shard view of the incremental oracle: a sliced CSR over the shard's rows
-// (local element ids), its transpose, the parent's covered flags projected
-// onto the touched slice, and the parent's residuals copied for the shard
-// rows. Residuals stay exact within the view because its transpose lists
-// exactly the shard rows containing each touched element. Built from the
-// parent oracle (not its SetSystem) so shard members that live in the
-// parent's dynamic overlay slice exactly like base sets.
-class IncrementalCoverageShardView final : public SubmodularOracle {
- public:
-  IncrementalCoverageShardView(const IncrementalCoverageOracle& parent,
-                               std::span<const ElementId> shard)
-      : index_(shard),
-        ground_size_(parent.ground_size()),
-        universe_size_(
-            static_cast<std::uint32_t>(parent.covered_flags().size())) {
-    const std::span<const std::uint8_t> covered = parent.covered_flags();
-    const std::span<const std::uint32_t> residual = parent.residuals();
-    std::size_t total = 0;
-    for (const ElementId item : index_.items()) {
-      total += parent.set_items(item).size();
-    }
-    offsets_.reserve(index_.size() + 1);
-    offsets_.push_back(0);
-    entries_.reserve(total);
-    residual_.reserve(index_.size());
-    detail::U32LocalIdMap remap(total);
-    for (const ElementId item : index_.items()) {
-      residual_.push_back(residual[item]);
-      for (const std::uint32_t e : parent.set_items(item)) {
-        const auto next = static_cast<std::uint32_t>(covered_.size());
-        const std::uint32_t local = remap.find_or_insert(e, next);
-        if (local == next) covered_.push_back(covered[e]);
-        entries_.push_back(local);
-      }
-      offsets_.push_back(static_cast<std::uint32_t>(entries_.size()));
-    }
-    build_transpose();
-  }
-
-  std::size_t ground_size() const noexcept override { return ground_size_; }
-  double max_value() const noexcept override {
-    return static_cast<double>(universe_size_);
-  }
-  bool supports_compacted_shard_view() const noexcept override {
-    return true;
-  }
-
- protected:
-  double do_gain(ElementId x) const override {
-    const std::size_t row = index_.row_of(x);
-    if (row == detail::ShardItemIndex::npos) detail::throw_outside_shard(x);
-    return static_cast<double>(residual_[row]);
-  }
-
-  void do_gain_batch(std::span<const ElementId> xs,
-                     std::span<double> out) const override {
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      const std::size_t row = index_.row_of(xs[i]);
-      if (row == detail::ShardItemIndex::npos) {
-        detail::throw_outside_shard(xs[i]);
-      }
-      out[i] = static_cast<double>(residual_[row]);
-    }
-  }
-
-  double do_add(ElementId x) override {
-    const std::size_t row = index_.row_of(x);
-    if (row == detail::ShardItemIndex::npos) detail::throw_outside_shard(x);
-    const double gain = static_cast<double>(residual_[row]);
-    for (std::size_t e = offsets_[row]; e < offsets_[row + 1]; ++e) {
-      const std::uint32_t el = entries_[e];
-      if (covered_[el]) continue;
-      covered_[el] = 1;
-      for (std::size_t s = inv_offsets_[el]; s < inv_offsets_[el + 1]; ++s) {
-        --residual_[inv_entries_[s]];
-      }
-    }
-    return gain;
-  }
-
-  std::unique_ptr<SubmodularOracle> do_clone() const override {
-    return std::make_unique<IncrementalCoverageShardView>(*this);
-  }
-
-  std::size_t do_state_bytes() const noexcept override {
-    return (offsets_.capacity() + inv_offsets_.capacity()) *
-               sizeof(std::uint32_t) +
-           (entries_.capacity() + inv_entries_.capacity() +
-            residual_.capacity()) *
-               sizeof(std::uint32_t) +
-           covered_.capacity() * sizeof(std::uint8_t) + index_.bytes();
-  }
-
- private:
-  // Counting-sort transpose of the local CSR: touched element → shard rows.
-  void build_transpose() {
-    inv_offsets_.assign(covered_.size() + 1, 0);
-    for (const std::uint32_t el : entries_) ++inv_offsets_[el + 1];
-    for (std::size_t e = 1; e < inv_offsets_.size(); ++e) {
-      inv_offsets_[e] += inv_offsets_[e - 1];
-    }
-    inv_entries_.resize(entries_.size());
-    std::vector<std::uint32_t> cursor(inv_offsets_.begin(),
-                                      inv_offsets_.end() - 1);
-    for (std::size_t row = 0; row + 1 < offsets_.size(); ++row) {
-      for (std::size_t e = offsets_[row]; e < offsets_[row + 1]; ++e) {
-        inv_entries_[cursor[entries_[e]]++] =
-            static_cast<std::uint32_t>(row);
-      }
-    }
-  }
-
-  detail::ShardItemIndex index_;
-  std::vector<std::uint32_t> offsets_;      // local CSR: shard rows
-  std::vector<std::uint32_t> entries_;      // local element ids
-  std::vector<std::uint32_t> inv_offsets_;  // transpose: touched elements
-  std::vector<std::uint32_t> inv_entries_;  // shard row ids
-  std::vector<std::uint8_t> covered_;       // projected parent flags
-  std::vector<std::uint32_t> residual_;     // per shard row
-  std::size_t ground_size_;
-  std::uint32_t universe_size_;
-};
-
-}  // namespace
 
 InvertedIndex::InvertedIndex(const SetSystem& sets) {
   offsets_.assign(sets.universe_size() + 1, 0);
@@ -250,11 +121,6 @@ std::unique_ptr<SubmodularOracle> IncrementalCoverageOracle::do_clone()
   return std::make_unique<IncrementalCoverageOracle>(*this);
 }
 
-std::unique_ptr<SubmodularOracle> IncrementalCoverageOracle::do_shard_view(
-    std::span<const ElementId> shard) const {
-  return std::make_unique<IncrementalCoverageShardView>(*this, shard);
-}
-
 std::size_t IncrementalCoverageOracle::do_state_bytes() const noexcept {
   std::size_t ov_index_bytes = 0;
   for (const auto& [element, sets] : ov_index_) {
@@ -266,17 +132,6 @@ std::size_t IncrementalCoverageOracle::do_state_bytes() const noexcept {
          residual_.capacity() * sizeof(std::uint32_t) +
          ov_offsets_.capacity() * sizeof(std::uint64_t) +
          ov_entries_.capacity() * sizeof(std::uint32_t) + ov_index_bytes;
-}
-
-std::unique_ptr<SubmodularOracle> make_incremental_coverage(
-    const SubmodularOracle& proto) {
-  const auto* coverage = dynamic_cast<const CoverageOracle*>(&proto);
-  if (coverage == nullptr) return nullptr;
-  auto oracle =
-      std::make_unique<IncrementalCoverageOracle>(coverage->set_system_ptr());
-  for (const ElementId x : proto.current_set()) oracle->add(x);
-  oracle->reset_evals();
-  return oracle;
 }
 
 }  // namespace bds

@@ -1,5 +1,5 @@
-// Inverted-index incremental gains for unweighted coverage (the
-// coordinator-filter hot path).
+// Inverted-index incremental gains for unweighted coverage (the oracle
+// behind dynamic corpora, data/dynamic.h).
 //
 // A plain CoverageOracle answers gain(x) by scanning set x and counting
 // uncovered elements — O(|set x|) per query. A greedy filter over a pool P
@@ -18,11 +18,10 @@
 //
 // Exactness: residuals are integer counts, so decrements are exact and
 // gain() is bit-identical to CoverageOracle::gain() at every step. This is
-// also why the engine covers ONLY unweighted coverage — a floating-point
-// weighted residual would drift away from the freshly-summed gain under
-// repeated decrements, breaking the bit-identical contract, so the weighted
-// and probabilistic oracles keep their scan-based gains (see
-// docs/ALGORITHMS.md §"Worker memory model").
+// also why it covers ONLY unweighted coverage — a floating-point weighted
+// residual would drift away from the freshly-summed gain under repeated
+// decrements, breaking the bit-identical contract, so the weighted and
+// probabilistic oracles keep their scan-based gains.
 #pragma once
 
 #include <cstdint>
@@ -87,19 +86,10 @@ class IncrementalCoverageOracle final : public SubmodularOracle {
     return static_cast<double>(sets_->universe_size());
   }
   std::uint64_t covered_count() const noexcept { return covered_count_; }
-  bool supports_compacted_shard_view() const noexcept override {
-    return true;
-  }
   bool supports_dynamic_updates() const noexcept override { return true; }
 
   // Members of set `x`, whether it lives in the base CSR or the overlay.
   std::span<const std::uint32_t> set_items(ElementId x) const;
-  std::span<const std::uint8_t> covered_flags() const noexcept {
-    return covered_;
-  }
-  std::span<const std::uint32_t> residuals() const noexcept {
-    return residual_;
-  }
 
  protected:
   double do_gain(ElementId x) const override;
@@ -107,8 +97,6 @@ class IncrementalCoverageOracle final : public SubmodularOracle {
   void do_gain_batch(std::span<const ElementId> xs,
                      std::span<double> out) const override;
   std::unique_ptr<SubmodularOracle> do_clone() const override;
-  std::unique_ptr<SubmodularOracle> do_shard_view(
-      std::span<const ElementId> shard) const override;
   std::size_t do_state_bytes() const noexcept override;
   void do_apply_insert(ElementId id,
                        std::span<const std::uint32_t> items) override;
@@ -128,13 +116,5 @@ class IncrementalCoverageOracle final : public SubmodularOracle {
   std::vector<std::uint32_t> ov_entries_;
   std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> ov_index_;
 };
-
-// Upgrades `proto` to an incremental-gain oracle when it is an unweighted
-// CoverageOracle: shares its SetSystem, replays its committed set, and
-// resets the evaluation counter so accounting matches a clone of the same
-// state. Returns nullptr when `proto` is any other objective (callers fall
-// back to proto.clone()).
-std::unique_ptr<SubmodularOracle> make_incremental_coverage(
-    const SubmodularOracle& proto);
 
 }  // namespace bds

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "dist/thread_pool.h"
 #include "objectives/gain_fusion.h"
 #include "util/kernels.h"
 
@@ -112,28 +111,27 @@ struct CostView {
 //
 // Gains accumulate per canonical kern::kCostChunk chunk of cost terms
 // (sequentially inside a chunk), and the chunk partials are summed in
-// ascending chunk order. Serial evaluation, the pool-parallel batch path,
-// add(), and single gain() all share this grouping, so every path yields
-// bit-identical doubles at any thread count.
+// ascending chunk order. The batch path, add(), single gain() and the
+// cross-query fusion group all share this grouping, so every path yields
+// bit-identical doubles.
 
 std::size_t chunk_count(std::size_t count) {
   return (count + kern::kCostChunk - 1) / kern::kCostChunk;
 }
 
-// out[j] = Σ_chunks gain_tile(chunk)[j], scaled. `pool` may be null.
+// out[j] = Σ_chunks gain_tile(chunk)[j], scaled.
 void kernel_gain_batch(const CostView& view, double scale,
-                       std::span<const ElementId> xs, std::span<double> out,
-                       dist::ThreadPool* pool) {
+                       std::span<const ElementId> xs, std::span<double> out) {
   const std::size_t batch = xs.size();
   if (batch == 0) return;
   const PointSet& pts = *view.points;
   const std::size_t n_chunks = chunk_count(view.count);
   const kern::KernelTable& kt = kern::active_table();
 
-  // partial[c * batch + j]: candidate j's gain over chunk c. Disjoint per
-  // chunk, so chunks can run on pool threads; the merge below is ordered.
+  // partial[c * batch + j]: candidate j's gain over chunk c; the merge
+  // below sums the chunks in order.
   std::vector<double> partial(n_chunks * batch);
-  const auto run_chunk = [&](std::size_t c) {
+  for (std::size_t c = 0; c < n_chunks; ++c) {
     const std::size_t begin = c * kern::kCostChunk;
     const std::size_t end =
         std::min(begin + kern::kCostChunk, view.count);
@@ -150,15 +148,9 @@ void kernel_gain_batch(const CostView& view, double scale,
                    view.min_dist, begin, end, tile_rows, tile_norms, n_x,
                    prow + j0);
     }
-  };
-
-  if (pool != nullptr && pool->size() > 1 && n_chunks > 1) {
-    pool->parallel_for(n_chunks, run_chunk);
-  } else {
-    for (std::size_t c = 0; c < n_chunks; ++c) run_chunk(c);
   }
 
-  // Chunk-ordered merge — independent of which thread ran which chunk.
+  // Chunk-ordered merge.
   for (std::size_t j = 0; j < batch; ++j) {
     double acc = 0.0;
     for (std::size_t c = 0; c < n_chunks; ++c) acc += partial[c * batch + j];
@@ -212,23 +204,6 @@ double kernel_add(const CostView& view, std::vector<double>& min_dist,
     total += part;
   }
   return total;
-}
-
-// The pool is only worth forking for when the scan is heavy enough; below
-// this many candidate×cost-term pairs the fork/join overhead dominates.
-constexpr std::size_t kMinParallelPairs = std::size_t{1} << 16;
-
-bool kernel_gain_batch_parallel(const CostView& view, double scale,
-                                std::span<const ElementId> xs,
-                                std::span<double> out,
-                                dist::ThreadPool& pool) {
-  if (kern::legacy()) return false;
-  if (chunk_count(view.count) < 2 ||
-      xs.size() * view.count < kMinParallelPairs) {
-    return false;
-  }
-  kernel_gain_batch(view, scale, xs, out, &pool);
-  return true;
 }
 
 // --- legacy path (BDS_KERNEL=legacy): the pre-kernel sequential scans -------
@@ -337,16 +312,8 @@ void ExemplarOracle::do_gain_batch(std::span<const ElementId> xs,
   if (kern::legacy()) {
     legacy_gain_batch(view, 1.0, xs, out);
   } else {
-    kernel_gain_batch(view, 1.0, xs, out, nullptr);
+    kernel_gain_batch(view, 1.0, xs, out);
   }
-}
-
-bool ExemplarOracle::do_gain_batch_parallel(std::span<const ElementId> xs,
-                                            std::span<double> out,
-                                            dist::ThreadPool& pool) const {
-  const CostView view{points_.get(), nullptr, min_dist_.size(),
-                      min_dist_.data()};
-  return kernel_gain_batch_parallel(view, 1.0, xs, out, pool);
 }
 
 double ExemplarOracle::do_add(ElementId x) {
@@ -401,16 +368,8 @@ void SampledExemplarOracle::do_gain_batch(std::span<const ElementId> xs,
   if (kern::legacy()) {
     legacy_gain_batch(view, scale_, xs, out);
   } else {
-    kernel_gain_batch(view, scale_, xs, out, nullptr);
+    kernel_gain_batch(view, scale_, xs, out);
   }
-}
-
-bool SampledExemplarOracle::do_gain_batch_parallel(
-    std::span<const ElementId> xs, std::span<double> out,
-    dist::ThreadPool& pool) const {
-  const CostView view{points_.get(), sample_->data(), sample_->size(),
-                      min_dist_.data()};
-  return kernel_gain_batch_parallel(view, scale_, xs, out, pool);
 }
 
 double SampledExemplarOracle::do_add(ElementId x) {

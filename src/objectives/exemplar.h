@@ -16,9 +16,8 @@
 // Both oracles evaluate through the SIMD kernel layer (util/kernels.h):
 // distances use the norms+dot identity over PointSet's padded rows and
 // cached squared norms, gains accumulate over the cost points in canonical
-// kern::kCostChunk chunks merged in chunk order — which is also how the
-// pool-parallel batch path splits the work, so serial and parallel results
-// are bit-identical at any thread count. BDS_KERNEL=legacy restores the
+// kern::kCostChunk chunks merged in chunk order, so batched, single and
+// fused gains are bit-identical. BDS_KERNEL=legacy restores the
 // pre-kernel sequential scans for A/B comparison.
 #pragma once
 
@@ -154,18 +153,9 @@ class ExemplarOracle final : public SubmodularOracle {
   double do_add(ElementId x) override;
   void do_gain_batch(std::span<const ElementId> xs,
                      std::span<double> out) const override;
-  // One exemplar evaluation is itself an O(n·dim) scan, so the parallel
-  // batch path splits the *cost-point* dimension (canonical chunks merged
-  // in chunk order — bit-identical to serial), not the candidate span.
-  bool do_gain_batch_parallel(std::span<const ElementId> xs,
-                              std::span<double> out,
-                              dist::ThreadPool& pool) const override;
   std::unique_ptr<SubmodularOracle> do_clone() const override;
-  // No compacted shard view: min_dist_ is irreducible — any shard point can
-  // tighten any point's cost term, and restricting rows to "reachable"
-  // points would itself cost O(n·s·dim) distance evaluations, the same as
-  // the scan it would save. Workers fall back to clone; the paper's own
-  // row-restriction is SampledExemplarOracle.
+  // Workers clone min_dist_ whole: any shard point can tighten any point's
+  // cost term. The paper's own row restriction is SampledExemplarOracle.
   std::size_t do_state_bytes() const noexcept override {
     return min_dist_.capacity() * sizeof(double);
   }
@@ -204,9 +194,6 @@ class SampledExemplarOracle final : public SubmodularOracle {
   double do_add(ElementId x) override;
   void do_gain_batch(std::span<const ElementId> xs,
                      std::span<double> out) const override;
-  bool do_gain_batch_parallel(std::span<const ElementId> xs,
-                              std::span<double> out,
-                              dist::ThreadPool& pool) const override;
   std::unique_ptr<SubmodularOracle> do_clone() const override;
   std::size_t do_state_bytes() const noexcept override {
     return min_dist_.capacity() * sizeof(double);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "objectives/shard_view.h"
-
 namespace bds {
 
 namespace {
@@ -17,15 +15,12 @@ namespace {
 // the naive one-candidate-at-a-time batch slower than scalar gain calls.
 inline constexpr std::size_t kProbTile = 4;
 
-// Rows() maps a candidate index to its CSR row (validating shard
-// membership); Skip(row) tells whether that row is already selected (gain
-// 0). Offset is u32 (shard views) or u64 (full oracles).
-template <typename Offset, typename Rows, typename Skip>
+// Candidates already selected (in_set) gain 0.
 void prob_gain_batch_csr(std::span<const ElementId> xs, std::span<double> out,
-                         const Offset* offsets,
+                         const std::uint64_t* offsets,
                          const ProbSetSystem::Entry* entries,
-                         const double* uncovered, const double* w, Rows rows,
-                         Skip skip) {
+                         const double* uncovered, const double* w,
+                         const std::uint8_t* in_set) {
   std::size_t i = 0;
   for (; i + kProbTile <= xs.size(); i += kProbTile) {
     std::size_t cursor[kProbTile];
@@ -34,8 +29,8 @@ void prob_gain_batch_csr(std::span<const ElementId> xs, std::span<double> out,
     std::size_t shortest = ~std::size_t{0};
     for (std::size_t t = 0; t < kProbTile; ++t) {
       acc[t] = 0.0;
-      const std::size_t row = rows(i + t);
-      if (skip(row)) {
+      const std::size_t row = xs[i + t];
+      if (in_set[row] != 0) {
         cursor[t] = 0;
         end[t] = 0;
       } else {
@@ -77,8 +72,8 @@ void prob_gain_batch_csr(std::span<const ElementId> xs, std::span<double> out,
   }
   // Remainder: plain per-candidate scan (identical accumulation order).
   for (; i < xs.size(); ++i) {
-    const std::size_t row = rows(i);
-    if (skip(row)) {
+    const std::size_t row = xs[i];
+    if (in_set[row] != 0) {
       out[i] = 0.0;
       continue;
     }
@@ -98,125 +93,6 @@ void prob_gain_batch_csr(std::span<const ElementId> xs, std::span<double> out,
     out[i] = gain;
   }
 }
-
-// Compacted view of a ProbCoverageOracle: sliced (local element,
-// probability) CSR in original row order, the parent's per-element
-// uncovered probabilities and (when weighted) weights projected onto the
-// touched slice, and the parent's membership flags projected onto the shard
-// rows. Gains and adds over shard members multiply/accumulate exactly the
-// same doubles in the same order as the parent.
-class ProbCoverageShardView final : public SubmodularOracle {
- public:
-  ProbCoverageShardView(const ProbSetSystem& sets,
-                        std::span<const double> uncovered,
-                        const std::vector<double>* weights,
-                        std::span<const std::uint8_t> in_set,
-                        double total_weight,
-                        std::span<const ElementId> shard)
-      : index_(shard),
-        ground_size_(sets.num_sets()),
-        total_weight_(total_weight),
-        weighted_(weights != nullptr) {
-    std::size_t total = 0;
-    for (const ElementId item : index_.items()) {
-      total += sets.set_entries(item).size();
-    }
-    offsets_.reserve(index_.size() + 1);
-    offsets_.push_back(0);
-    entries_.reserve(total);
-    in_set_.reserve(index_.size());
-    detail::U32LocalIdMap remap(total);
-    for (const ElementId item : index_.items()) {
-      in_set_.push_back(in_set[item]);
-      for (const ProbSetSystem::Entry& entry : sets.set_entries(item)) {
-        const auto next = static_cast<std::uint32_t>(uncovered_.size());
-        const std::uint32_t local = remap.find_or_insert(entry.element, next);
-        if (local == next) {
-          uncovered_.push_back(uncovered[entry.element]);
-          if (weighted_) weights_.push_back((*weights)[entry.element]);
-        }
-        entries_.push_back(ProbSetSystem::Entry{local, entry.probability});
-      }
-      offsets_.push_back(static_cast<std::uint32_t>(entries_.size()));
-    }
-  }
-
-  std::size_t ground_size() const noexcept override { return ground_size_; }
-  double max_value() const noexcept override { return total_weight_; }
-  bool supports_compacted_shard_view() const noexcept override {
-    return true;
-  }
-
- protected:
-  double do_gain(ElementId x) const override {
-    const std::size_t row = index_.row_of(x);
-    if (row == detail::ShardItemIndex::npos) detail::throw_outside_shard(x);
-    if (in_set_[row]) return 0.0;
-    double gain = 0.0;
-    for (std::size_t e = offsets_[row]; e < offsets_[row + 1]; ++e) {
-      const auto& entry = entries_[e];
-      gain += weight_of(entry.element) * uncovered_[entry.element] *
-              double(entry.probability);
-    }
-    return gain;
-  }
-
-  void do_gain_batch(std::span<const ElementId> xs,
-                     std::span<double> out) const override {
-    prob_gain_batch_csr(
-        xs, out, offsets_.data(), entries_.data(), uncovered_.data(),
-        weighted_ ? weights_.data() : nullptr,
-        [&](std::size_t i) {
-          const std::size_t row = index_.row_of(xs[i]);
-          if (row == detail::ShardItemIndex::npos) {
-            detail::throw_outside_shard(xs[i]);
-          }
-          return row;
-        },
-        [&](std::size_t row) { return in_set_[row] != 0; });
-  }
-
-  double do_add(ElementId x) override {
-    const std::size_t row = index_.row_of(x);
-    if (row == detail::ShardItemIndex::npos) detail::throw_outside_shard(x);
-    if (in_set_[row]) return 0.0;
-    in_set_[row] = 1;
-    double gain = 0.0;
-    for (std::size_t e = offsets_[row]; e < offsets_[row + 1]; ++e) {
-      const auto& entry = entries_[e];
-      const double q = uncovered_[entry.element];
-      gain += weight_of(entry.element) * q * double(entry.probability);
-      uncovered_[entry.element] = q * (1.0 - double(entry.probability));
-    }
-    return gain;
-  }
-
-  std::unique_ptr<SubmodularOracle> do_clone() const override {
-    return std::make_unique<ProbCoverageShardView>(*this);
-  }
-
-  std::size_t do_state_bytes() const noexcept override {
-    return offsets_.capacity() * sizeof(std::uint32_t) +
-           entries_.capacity() * sizeof(ProbSetSystem::Entry) +
-           (uncovered_.capacity() + weights_.capacity()) * sizeof(double) +
-           in_set_.capacity() * sizeof(std::uint8_t) + index_.bytes();
-  }
-
- private:
-  double weight_of(std::uint32_t local) const noexcept {
-    return weighted_ ? weights_[local] : 1.0;
-  }
-
-  detail::ShardItemIndex index_;
-  std::vector<std::uint32_t> offsets_;
-  std::vector<ProbSetSystem::Entry> entries_;  // element = local id
-  std::vector<double> uncovered_;              // per touched element
-  std::vector<double> weights_;                // per touched element (opt.)
-  std::vector<std::uint8_t> in_set_;           // per shard row
-  std::size_t ground_size_;
-  double total_weight_;
-  bool weighted_;
-};
 
 }  // namespace
 
@@ -318,8 +194,7 @@ void ProbCoverageOracle::do_gain_batch(std::span<const ElementId> xs,
   prob_gain_batch_csr(
       xs, out, sets_->offsets_data(), sets_->entries_data(),
       uncovered_prob_.data(), weights_ ? weights_->data() : nullptr,
-      [&](std::size_t i) { return static_cast<std::size_t>(xs[i]); },
-      [&](std::size_t row) { return in_set_[row] != 0; });
+      in_set_.data());
 }
 
 double ProbCoverageOracle::do_add(ElementId x) {
@@ -336,13 +211,6 @@ double ProbCoverageOracle::do_add(ElementId x) {
 
 std::unique_ptr<SubmodularOracle> ProbCoverageOracle::do_clone() const {
   return std::make_unique<ProbCoverageOracle>(*this);
-}
-
-std::unique_ptr<SubmodularOracle> ProbCoverageOracle::do_shard_view(
-    std::span<const ElementId> shard) const {
-  return std::make_unique<ProbCoverageShardView>(
-      *sets_, uncovered_prob_, weights_ ? weights_.get() : nullptr, in_set_,
-      total_weight_, shard);
 }
 
 std::size_t ProbCoverageOracle::do_state_bytes() const noexcept {

@@ -100,7 +100,6 @@ class ProbCoverageOracle final : public SubmodularOracle {
     return sets_->num_sets();
   }
   double max_value() const noexcept override { return total_weight_; }
-  bool supports_compacted_shard_view() const noexcept override { return true; }
 
  protected:
   double do_gain(ElementId x) const override;
@@ -108,8 +107,6 @@ class ProbCoverageOracle final : public SubmodularOracle {
   void do_gain_batch(std::span<const ElementId> xs,
                      std::span<double> out) const override;
   std::unique_ptr<SubmodularOracle> do_clone() const override;
-  std::unique_ptr<SubmodularOracle> do_shard_view(
-      std::span<const ElementId> shard) const override;
   std::size_t do_state_bytes() const noexcept override;
 
  private:

@@ -4,152 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "objectives/shard_view.h"
-
 namespace bds {
-
-namespace {
-
-// Restricted-row view of a SaturatedCoverageOracle. The similarity matrix
-// stays shared (immutable), but the per-worker mutable state — covered
-// amounts and caps — is kept only for rows i with sim(i, x) > 0 for some
-// shard member x. A dropped row contributes exactly
-// min(cov, cap) − min(cov, cap) = +0.0 to every shard candidate's gain, and
-// adding +0.0 to a non-negative partial sum is a bit-exact no-op, so gains
-// and adds over the surviving rows (in ascending row order, matching the
-// parent's loop) reproduce the parent's doubles bit for bit.
-class SaturatedShardView final : public SubmodularOracle {
- public:
-  SaturatedShardView(std::shared_ptr<const SimilarityMatrix> sim,
-                     std::shared_ptr<const SaturatedCoverageConfig> config,
-                     std::shared_ptr<const std::vector<double>> relevance,
-                     std::span<const double> covered,
-                     std::span<const double> caps,
-                     std::vector<double> cluster_mass,
-                     std::span<const std::uint8_t> in_set, double max_value,
-                     std::span<const ElementId> shard)
-      : index_(shard),
-        sim_(std::move(sim)),
-        config_(std::move(config)),
-        relevance_(std::move(relevance)),
-        cluster_mass_(std::move(cluster_mass)),
-        max_value_(max_value) {
-    const std::size_t n = sim_->size();
-    in_set_.reserve(index_.size());
-    for (const ElementId item : index_.items()) in_set_.push_back(in_set[item]);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double* const row = sim_->row(i);
-      bool touched = false;
-      for (const ElementId item : index_.items()) {
-        if (row[item] > 0.0) {
-          touched = true;
-          break;
-        }
-      }
-      if (!touched) continue;
-      rows_.push_back(static_cast<std::uint32_t>(i));
-      covered_.push_back(covered[i]);
-      caps_.push_back(caps[i]);
-    }
-  }
-
-  std::size_t ground_size() const noexcept override { return sim_->size(); }
-  double max_value() const noexcept override { return max_value_; }
-  bool supports_compacted_shard_view() const noexcept override {
-    return true;
-  }
-
- protected:
-  double do_gain(ElementId x) const override {
-    const std::size_t row = index_.row_of(x);
-    if (row == detail::ShardItemIndex::npos) detail::throw_outside_shard(x);
-    if (in_set_[row]) return 0.0;
-    double gain = 0.0;
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-      const double before = std::min(covered_[r], caps_[r]);
-      const double after =
-          std::min(covered_[r] + sim_->at(rows_[r], x), caps_[r]);
-      gain += after - before;
-    }
-    return gain + diversity_delta(x);
-  }
-
-  void do_gain_batch(std::span<const ElementId> xs,
-                     std::span<double> out) const override {
-    // Same transposed kernel as the parent, streaming only surviving rows.
-    for (std::size_t j = 0; j < xs.size(); ++j) {
-      if (index_.row_of(xs[j]) == detail::ShardItemIndex::npos) {
-        detail::throw_outside_shard(xs[j]);
-      }
-      out[j] = 0.0;
-    }
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-      const double cov = covered_[r];
-      const double cap = caps_[r];
-      const double before = std::min(cov, cap);
-      const double* const row = sim_->row(rows_[r]);
-      for (std::size_t j = 0; j < xs.size(); ++j) {
-        const double after = std::min(cov + row[xs[j]], cap);
-        out[j] += after - before;
-      }
-    }
-    for (std::size_t j = 0; j < xs.size(); ++j) {
-      out[j] = in_set_[index_.row_of(xs[j])] ? 0.0
-                                             : out[j] + diversity_delta(xs[j]);
-    }
-  }
-
-  double do_add(ElementId x) override {
-    const std::size_t row = index_.row_of(x);
-    if (row == detail::ShardItemIndex::npos) detail::throw_outside_shard(x);
-    if (in_set_[row]) return 0.0;
-    in_set_[row] = 1;
-    double gain = diversity_delta(x);
-    if (!cluster_mass_.empty()) {
-      cluster_mass_[config_->cluster_of[x]] += (*relevance_)[x];
-    }
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-      const double before = std::min(covered_[r], caps_[r]);
-      covered_[r] += sim_->at(rows_[r], x);
-      gain += std::min(covered_[r], caps_[r]) - before;
-    }
-    return gain;
-  }
-
-  std::unique_ptr<SubmodularOracle> do_clone() const override {
-    return std::make_unique<SaturatedShardView>(*this);
-  }
-
-  std::size_t do_state_bytes() const noexcept override {
-    return rows_.capacity() * sizeof(std::uint32_t) +
-           (covered_.capacity() + caps_.capacity() +
-            cluster_mass_.capacity()) *
-               sizeof(double) +
-           in_set_.capacity() * sizeof(std::uint8_t) + index_.bytes();
-  }
-
- private:
-  double diversity_delta(ElementId x) const noexcept {
-    if (cluster_mass_.empty() || config_->lambda <= 0.0) return 0.0;
-    const std::uint32_t c = config_->cluster_of[x];
-    const double mass = cluster_mass_[c];
-    return config_->lambda *
-           (std::sqrt(mass + (*relevance_)[x]) - std::sqrt(mass));
-  }
-
-  detail::ShardItemIndex index_;
-  std::shared_ptr<const SimilarityMatrix> sim_;
-  std::shared_ptr<const SaturatedCoverageConfig> config_;
-  std::shared_ptr<const std::vector<double>> relevance_;
-  std::vector<std::uint32_t> rows_;   // surviving global row indices, asc.
-  std::vector<double> covered_;       // C_i(S) over surviving rows
-  std::vector<double> caps_;          // γ·C_i(V) over surviving rows
-  std::vector<double> cluster_mass_;  // full copy (one slot per cluster)
-  std::vector<std::uint8_t> in_set_;  // per shard row
-  double max_value_;
-};
-
-}  // namespace
 
 SimilarityMatrix::SimilarityMatrix(std::size_t n, std::vector<double> values)
     : n_(n), values_(std::move(values)) {
@@ -295,13 +150,6 @@ double SaturatedCoverageOracle::do_add(ElementId x) {
 
 std::unique_ptr<SubmodularOracle> SaturatedCoverageOracle::do_clone() const {
   return std::make_unique<SaturatedCoverageOracle>(*this);
-}
-
-std::unique_ptr<SubmodularOracle> SaturatedCoverageOracle::do_shard_view(
-    std::span<const ElementId> shard) const {
-  return std::make_unique<SaturatedShardView>(sim_, config_, relevance_,
-                                              covered_, caps_, cluster_mass_,
-                                              in_set_, max_value(), shard);
 }
 
 std::size_t SaturatedCoverageOracle::do_state_bytes() const noexcept {

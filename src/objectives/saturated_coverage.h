@@ -63,7 +63,6 @@ class SaturatedCoverageOracle final : public SubmodularOracle {
 
   std::size_t ground_size() const noexcept override { return sim_->size(); }
   double max_value() const noexcept override;
-  bool supports_compacted_shard_view() const noexcept override { return true; }
 
  protected:
   double do_gain(ElementId x) const override;
@@ -71,8 +70,6 @@ class SaturatedCoverageOracle final : public SubmodularOracle {
   void do_gain_batch(std::span<const ElementId> xs,
                      std::span<double> out) const override;
   std::unique_ptr<SubmodularOracle> do_clone() const override;
-  std::unique_ptr<SubmodularOracle> do_shard_view(
-      std::span<const ElementId> shard) const override;
   std::size_t do_state_bytes() const noexcept override;
 
  private:

@@ -23,10 +23,6 @@
 
 #include "util/element.h"
 
-namespace bds::dist {
-class ThreadPool;
-}  // namespace bds::dist
-
 namespace bds {
 
 class SubmodularOracle {
@@ -58,33 +54,6 @@ class SubmodularOracle {
     gain_batch(xs, std::span<double>(out));
     return out;
   }
-
-  // Read-only batch evaluation that leaves the evaluation counter alone —
-  // the building block of chunked/parallel evaluators (core/batch_eval.h),
-  // which charge the owning oracle once after the join via charge_evals().
-  // Thread-safety contract: do_gain / do_gain_batch are const and must be
-  // data-race-free against concurrent const evaluations on the same oracle
-  // (no mutable caches); every in-tree oracle satisfies this.
-  void gain_batch_unaccounted(std::span<const ElementId> xs,
-                              std::span<double> out) const {
-    do_gain_batch(xs, out);
-  }
-
-  // Oracle-internal parallel batch evaluation (see do_gain_batch_parallel):
-  // returns true if the oracle ran the whole batch on `pool` itself —
-  // values bit-identical to gain_batch, evaluation counter untouched (the
-  // caller charges once, like gain_batch_unaccounted). Returns false when
-  // the oracle has no internal split or the batch is too small to fork
-  // for; the caller then falls back to chunking candidates.
-  bool gain_batch_parallel_unaccounted(std::span<const ElementId> xs,
-                                       std::span<double> out,
-                                       dist::ThreadPool& pool) const {
-    return do_gain_batch_parallel(xs, out, pool);
-  }
-
-  // Adds n to the evaluation counter. Pairs with gain_batch_unaccounted()
-  // so a parallel evaluation of B elements still counts exactly B evals.
-  void charge_evals(std::uint64_t n) noexcept { evals_ += n; }
 
   // Commits x into S and returns its realized marginal gain.
   // Counts one oracle evaluation. Adding an element twice is permitted and
@@ -119,30 +88,16 @@ class SubmodularOracle {
     return copy;
   }
 
-  // Shard-compacted view: an oracle whose gains/adds over the elements of
-  // `shard` are bit-identical to this oracle's (same values, same FP
-  // accumulation order, same evaluation accounting — the gain_batch
-  // contract), but whose mutable state covers only the universe slice
-  // reachable from the shard, so a worker's memory footprint scales with
-  // the shard instead of the ground set. Querying an element outside the
-  // shard on a compacted view throws std::out_of_range. Objectives without
-  // a compacted representation fall back to clone() (every element valid).
-  // Like clone(), the view carries the committed set and value and starts
-  // with a zero evaluation counter.
+  // The oracle a distributed worker runs for `shard`: a clone of this
+  // oracle (same committed set and value, zero evaluation counter). Every
+  // worker path — in-process, bds_worker, the bench probes — goes through
+  // here, so this is the one place worker state is built. A clone carries
+  // O(ground)-sized mutable state (coverage: one byte per universe element);
+  // DESIGN.md §"Worker memory model" states the trade.
   std::unique_ptr<SubmodularOracle> shard_view(
       std::span<const ElementId> shard) const {
-    auto view = do_shard_view(shard);
-    view->set_ = set_;
-    view->value_ = value_;
-    view->evals_ = 0;
-    view->corpus_epoch_ = corpus_epoch_;
-    return view;
-  }
-
-  // Whether shard_view() returns a genuinely compacted oracle (O(shard)
-  // state) rather than the clone fallback.
-  virtual bool supports_compacted_shard_view() const noexcept {
-    return false;
+    (void)shard;
+    return clone();
   }
 
   // Heap footprint in bytes of this oracle's per-instance mutable state —
@@ -156,10 +111,10 @@ class SubmodularOracle {
   // --- dynamic-corpus support (data/dynamic.h) ---
 
   // Epoch of the data::DynamicCorpus snapshot this oracle answers for
-  // (0 for frozen corpora). Clones inherit it via the copy constructor;
-  // shard_view() stamps it onto the view. data::require_epoch() turns a
-  // mismatch into a StaleOracleError naming the corpus, so an oracle can
-  // never silently answer for a ground set that has moved on.
+  // (0 for frozen corpora). Clones inherit it via the copy constructor.
+  // data::require_epoch() turns a mismatch into a StaleOracleError naming
+  // the corpus, so an oracle can never silently answer for a ground set
+  // that has moved on.
   std::uint64_t corpus_epoch() const noexcept { return corpus_epoch_; }
   void stamp_corpus_epoch(std::uint64_t epoch) noexcept {
     corpus_epoch_ = epoch;
@@ -202,15 +157,6 @@ class SubmodularOracle {
   virtual double do_add(ElementId x) = 0;
   virtual std::unique_ptr<SubmodularOracle> do_clone() const = 0;
 
-  // Compacted-view factory behind shard_view(). The default is the clone
-  // fallback; coverage-family objectives override it with sliced-CSR views
-  // (see objectives/shard_view.h for the shared building blocks).
-  virtual std::unique_ptr<SubmodularOracle> do_shard_view(
-      std::span<const ElementId> shard) const {
-    (void)shard;
-    return do_clone();
-  }
-
   // Per-instance mutable state footprint, excluding the base-class set
   // (added by state_bytes()). 0 means "unknown / negligible".
   virtual std::size_t do_state_bytes() const noexcept { return 0; }
@@ -236,27 +182,10 @@ class SubmodularOracle {
   // Kernel behind gain_batch(). The default is the scalar loop (one
   // virtual do_gain per element); objectives with cache-friendly batched
   // kernels override it. Overrides must return exactly the values do_gain
-  // would — same accumulation order, element by element — and must remain
-  // const-thread-safe (see gain_batch_unaccounted).
+  // would — same accumulation order, element by element.
   virtual void do_gain_batch(std::span<const ElementId> xs,
                              std::span<double> out) const {
     for (std::size_t i = 0; i < xs.size(); ++i) out[i] = do_gain(xs[i]);
-  }
-
-  // Hook behind gain_batch_parallel_unaccounted(). Oracles whose *single*
-  // evaluation is a large scan (exemplar clustering: O(n·dim) per
-  // candidate) override this to split their internal cost dimension over
-  // the pool with a deterministic chunk-ordered reduction and return true.
-  // The default declines, which makes core/batch_eval.h partition the
-  // candidate span instead. Implementations must be const-thread-safe and
-  // bit-identical to do_gain_batch.
-  virtual bool do_gain_batch_parallel(std::span<const ElementId> xs,
-                                      std::span<double> out,
-                                      dist::ThreadPool& pool) const {
-    (void)xs;
-    (void)out;
-    (void)pool;
-    return false;
   }
 
  private:

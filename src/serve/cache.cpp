@@ -29,9 +29,6 @@ std::size_t QueryKeyHash::operator()(const QueryKey& key) const noexcept {
   mix(h, key.rounds);
   mix(h, key.machines);
   mix(h, key.seed);
-  mix(h, static_cast<std::uint64_t>(key.worker_oracle));
-  mix(h, (key.incremental_gains ? 1u : 0u) |
-             (key.parallel_central ? 2u : 0u));
   return h;
 }
 
@@ -53,9 +50,6 @@ QueryKey make_key(std::string corpus, std::string objective,
   key.rounds = rounds;
   key.machines = machines;
   key.seed = runtime.seed;
-  key.worker_oracle = runtime.worker_oracle;
-  key.incremental_gains = runtime.incremental_gains;
-  key.parallel_central = runtime.parallel_central;
   return key;
 }
 

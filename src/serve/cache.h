@@ -32,13 +32,13 @@
 // ## Cache key
 //
 // QueryKey holds exactly the fields that can change a certified answer:
-// corpus, objective, algorithm, ε, rounds, machines, and the
-// result-affecting RuntimeOptions fields (seed, worker_oracle,
-// incremental_gains, parallel_central). Budget k is deliberately NOT part
-// of the key — that is the reuse. threads / tracing / checkpoint sinks are
-// excluded because the determinism substrate guarantees they cannot change
-// selections. Runs under an active fault plan, a resume, or a round halt
-// are not certified (cache_safe() is false) and bypass the cache entirely.
+// corpus, objective, algorithm, ε, rounds, machines, and the one
+// result-affecting RuntimeOptions field, seed. Budget k is deliberately NOT
+// part of the key — that is the reuse. threads / transport / tracing /
+// checkpoint sinks are excluded because the determinism substrate
+// guarantees they cannot change selections. Runs under an active fault
+// plan, a resume, or a round halt are not certified (cache_safe() is
+// false) and bypass the cache entirely.
 #pragma once
 
 #include <cstddef>
@@ -71,9 +71,6 @@ struct QueryKey {
   std::size_t rounds = 1;
   std::size_t machines = 0;  // 0 = algorithm default
   std::uint64_t seed = 1;
-  WorkerOracleMode worker_oracle = WorkerOracleMode::kShardView;
-  bool incremental_gains = false;
-  bool parallel_central = false;
 
   bool operator==(const QueryKey&) const = default;
 };

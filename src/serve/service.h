@@ -75,7 +75,7 @@ struct ServiceOptions {
 };
 
 // One request. `tenant` is the fairness bucket; `runtime` carries the
-// certified execution knobs (seed, worker oracle, ...) plus any
+// certified execution knob (seed) plus any
 // non-certified ones (faults, resume) that force a fresh computation.
 struct Query {
   std::string corpus;

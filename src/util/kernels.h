@@ -94,9 +94,8 @@ inline constexpr std::size_t kLanes = 8;
 inline constexpr std::size_t kGainTile = 4;
 
 // Canonical cost-dimension chunk length. Gains over n cost terms are the
-// chunk partials summed in ascending chunk order — the same grouping
-// serial and pool-parallel evaluation use, so results are independent of
-// thread count (see objectives/exemplar.cpp).
+// chunk partials summed in ascending chunk order — the one grouping every
+// exemplar gain path uses (see objectives/exemplar.cpp).
 inline constexpr std::size_t kCostChunk = 256;
 
 // The one fixed lane-reduction order, shared by every path. It mirrors

@@ -41,7 +41,7 @@ DistributedResult one_round_merge(const SubmodularOracle& proto,
       std::max(1.0, config.budget_factor) * static_cast<double>(config.k)));
   const RuntimeOptions runtime = config.runtime;
 
-  auto central = detail::make_central_oracle(proto, runtime.incremental_gains);
+  auto central = proto.clone();
   dist::Cluster cluster(machines, runtime.cluster_options());
   util::Rng rng(util::mix64(runtime.seed));
 
@@ -60,7 +60,6 @@ DistributedResult one_round_merge(const SubmodularOracle& proto,
   worker_config.factory = config.machine_oracle_factory
                               ? &config.machine_oracle_factory
                               : nullptr;
-  worker_config.worker_oracle = runtime.worker_oracle;
 
   const auto reports =
       cluster.run_round(partition, detail::make_machine_worker(worker_config));
@@ -70,8 +69,7 @@ DistributedResult one_round_merge(const SubmodularOracle& proto,
   for (const auto& report : reports) {
     pool.insert(pool.end(), report.summary().begin(), report.summary().end());
   }
-  GreedyOptions central_options{config.stop_when_no_gain};
-  if (runtime.parallel_central) central_options.batch.pool = &cluster.pool();
+  const GreedyOptions central_options{config.stop_when_no_gain};
   const GreedyResult filtered =
       lazy_greedy(*central, pool, config.k, central_options);
   cluster.record_central_stage(central->evals(), timer.elapsed_seconds(),
@@ -119,15 +117,12 @@ DistributedResult bicriteria_greedy(const SubmodularOracle& proto,
   const BicriteriaPlan plan = plan_bicriteria(config, ground.size());
   const RuntimeOptions runtime = config.runtime;
 
-  auto central = detail::make_central_oracle(proto, runtime.incremental_gains);
+  auto central = proto.clone();
   dist::Cluster cluster(plan.machines, runtime.cluster_options());
   util::Rng scatter_rng(util::mix64(runtime.seed));
 
   DistributedResult result;
-  GreedyOptions central_options{config.stop_when_no_gain};
-  if (runtime.parallel_central) {
-    central_options.batch.pool = &cluster.pool();
-  }
+  const GreedyOptions central_options{config.stop_when_no_gain};
 
   for (std::size_t round = 0; round < plan.rounds; ++round) {
     std::size_t machine_budget = plan.machine_budget;
@@ -155,7 +150,6 @@ DistributedResult bicriteria_greedy(const SubmodularOracle& proto,
     worker_config.factory = config.machine_oracle_factory
                                 ? &config.machine_oracle_factory
                                 : nullptr;
-    worker_config.worker_oracle = runtime.worker_oracle;
 
     const std::vector<dist::MachineReport> reports =
         cluster.run_round(partition,
@@ -250,12 +244,11 @@ DistributedResult naive_distributed_greedy(
                                    : default_machines(ground.size(), config.k);
 
   const RuntimeOptions runtime = config.runtime;
-  auto central = detail::make_central_oracle(proto, runtime.incremental_gains);
+  auto central = proto.clone();
   dist::Cluster cluster(machines, runtime.cluster_options());
   util::Rng rng(util::mix64(runtime.seed));
 
-  GreedyOptions central_options{config.stop_when_no_gain};
-  if (runtime.parallel_central) central_options.batch.pool = &cluster.pool();
+  const GreedyOptions central_options{config.stop_when_no_gain};
 
   DistributedResult result;
   for (std::size_t round = 0; round < rounds; ++round) {
@@ -273,7 +266,6 @@ DistributedResult naive_distributed_greedy(
     worker_config.factory = config.machine_oracle_factory
                                 ? &config.machine_oracle_factory
                                 : nullptr;
-    worker_config.worker_oracle = runtime.worker_oracle;
 
     const auto reports = cluster.run_round(
         partition, detail::make_machine_worker(worker_config));
@@ -324,7 +316,7 @@ DistributedResult parallel_alg(const SubmodularOracle& proto,
                                    : default_machines(ground.size(), config.k);
 
   const RuntimeOptions runtime = config.runtime;
-  auto central = detail::make_central_oracle(proto, runtime.incremental_gains);
+  auto central = proto.clone();
   dist::Cluster cluster(machines, runtime.cluster_options());
   util::Rng rng(util::mix64(runtime.seed));
 
@@ -351,7 +343,6 @@ DistributedResult parallel_alg(const SubmodularOracle& proto,
     worker_config.factory = config.machine_oracle_factory
                                 ? &config.machine_oracle_factory
                                 : nullptr;
-    worker_config.worker_oracle = runtime.worker_oracle;
 
     const auto reports = cluster.run_round(
         partition, detail::make_machine_worker(worker_config));
@@ -382,8 +373,7 @@ DistributedResult parallel_alg(const SubmodularOracle& proto,
   }
 
   util::Timer final_timer;
-  GreedyOptions final_options{config.stop_when_no_gain};
-  if (runtime.parallel_central) final_options.batch.pool = &cluster.pool();
+  const GreedyOptions final_options{config.stop_when_no_gain};
   const GreedyResult filtered =
       lazy_greedy(*central, pool, config.k, final_options);
   cluster.mutable_stats().rounds.back().central_evals = central->evals();
@@ -419,7 +409,7 @@ DistributedResult greedy_scaling(const SubmodularOracle& proto,
                                    : default_machines(ground.size(), config.k);
 
   const RuntimeOptions runtime = config.runtime;
-  auto central = detail::make_central_oracle(proto, runtime.incremental_gains);
+  auto central = proto.clone();
   dist::Cluster cluster(machines, runtime.cluster_options());
   util::Rng rng(util::mix64(runtime.seed));
 
@@ -451,14 +441,11 @@ DistributedResult greedy_scaling(const SubmodularOracle& proto,
 
     const double threshold = tau;
     const SubmodularOracle* central_ptr = central.get();
-    const bool use_view =
-        runtime.worker_oracle == WorkerOracleMode::kShardView;
-    const auto worker = [threshold, remaining, central_ptr, use_view](
+    const auto worker = [threshold, remaining, central_ptr](
                             std::size_t,
                             std::span<const ElementId> shard)
         -> dist::WorkerOutput {
-      auto oracle =
-          use_view ? central_ptr->shard_view(shard) : central_ptr->clone();
+      auto oracle = central_ptr->shard_view(shard);
       dist::WorkerOutput output;
       for (const ElementId x : shard) {
         if (output.summary.size() >= remaining) break;

@@ -415,7 +415,6 @@ void expect_bit_identical(const RunResult& expect, const RunResult& actual) {
 
 struct GridCell {
   const char* name;
-  WorkerOracleMode mode;
   bool lazy;
   TransportKind transport;
 };
@@ -443,7 +442,6 @@ TEST_P(DynamicGolden, MutatedRunMatchesRebuildBitwise) {
       data::make_dynamic_oracle(corpus, "coverage", rebuild_opts);
   RuntimeOptions reference_runtime;
   reference_runtime.seed = 3;
-  reference_runtime.worker_oracle = cell.mode;
   const RunResult reference = run_distributed("bicriteria", *rebuilt, ground,
                                               reference_runtime, params);
 
@@ -454,7 +452,6 @@ TEST_P(DynamicGolden, MutatedRunMatchesRebuildBitwise) {
   ASSERT_EQ(oracle->corpus_epoch(), corpus.epoch());
   RuntimeOptions runtime;
   runtime.seed = 3;
-  runtime.worker_oracle = cell.mode;
   runtime.transport = cell.transport;
   if (cell.transport == TransportKind::kProcess) {
     runtime.process.worker_binary = BDS_WORKER_BIN;
@@ -468,22 +465,10 @@ TEST_P(DynamicGolden, MutatedRunMatchesRebuildBitwise) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, DynamicGolden,
     ::testing::Values(
-        GridCell{"ShardViewLazyInproc", WorkerOracleMode::kShardView, true,
-                 TransportKind::kInProcess},
-        GridCell{"ShardViewLazyProcess", WorkerOracleMode::kShardView, true,
-                 TransportKind::kProcess},
-        GridCell{"ShardViewEagerInproc", WorkerOracleMode::kShardView, false,
-                 TransportKind::kInProcess},
-        GridCell{"ShardViewEagerProcess", WorkerOracleMode::kShardView, false,
-                 TransportKind::kProcess},
-        GridCell{"CloneLazyInproc", WorkerOracleMode::kClone, true,
-                 TransportKind::kInProcess},
-        GridCell{"CloneLazyProcess", WorkerOracleMode::kClone, true,
-                 TransportKind::kProcess},
-        GridCell{"CloneEagerInproc", WorkerOracleMode::kClone, false,
-                 TransportKind::kInProcess},
-        GridCell{"CloneEagerProcess", WorkerOracleMode::kClone, false,
-                 TransportKind::kProcess}),
+        GridCell{"CloneLazyInproc", true, TransportKind::kInProcess},
+        GridCell{"CloneLazyProcess", true, TransportKind::kProcess},
+        GridCell{"CloneEagerInproc", false, TransportKind::kInProcess},
+        GridCell{"CloneEagerProcess", false, TransportKind::kProcess}),
     [](const auto& info) { return info.param.name; });
 
 // The v2 spec round-trips its delta; v1 specs (no epoch/mutations fields)

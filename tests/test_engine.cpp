@@ -72,12 +72,11 @@ std::vector<FaultScenario> fault_scenarios() {
   };
 }
 
-RuntimeOptions make_runtime(std::uint64_t seed, WorkerOracleMode mode,
+RuntimeOptions make_runtime(std::uint64_t seed,
                             const FaultScenario& scenario) {
   RuntimeOptions rt;
   rt.seed = seed;
   rt.threads = 2;
-  rt.worker_oracle = mode;
   rt.faults = scenario.plan;
   rt.retry = scenario.retry;
   return rt;
@@ -136,20 +135,19 @@ void expect_same_result(const DistributedResult& want,
 // ---------------------------------------------------------------------------
 // 1. Golden: engine vs frozen legacy loops
 
+// Parameters: (seed, worker oracle, fault scenario). The middle coordinate
+// is the worker-oracle axis: "_view" cells (0) and "_clone" cells (1).
+// Workers always run shard_view(shard), which returns a clone, so both
+// cells run the same path; the _view cells are where a compact worker
+// oracle behind shard_view() would be checked against the legacy loops.
 class EngineGolden
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, int, int>> {
  protected:
   std::uint64_t seed() const { return std::get<0>(GetParam()); }
-  WorkerOracleMode mode() const {
-    return std::get<1>(GetParam()) == 0 ? WorkerOracleMode::kShardView
-                                        : WorkerOracleMode::kClone;
-  }
   FaultScenario scenario() const {
     return fault_scenarios()[static_cast<std::size_t>(std::get<2>(GetParam()))];
   }
-  RuntimeOptions runtime() const {
-    return make_runtime(seed(), mode(), scenario());
-  }
+  RuntimeOptions runtime() const { return make_runtime(seed(), scenario()); }
 };
 
 INSTANTIATE_TEST_SUITE_P(
@@ -246,7 +244,7 @@ TEST_P(EngineGolden, RandGreediMatroid) {
 }
 
 TEST(EngineGolden, SqrtModularOracleAgrees) {
-  // Non-coverage objective: exercises the clone fallback of shard views.
+  // Non-coverage objective: the engine must not depend on coverage.
   std::vector<double> weights;
   for (int i = 0; i < 40; ++i) weights.push_back(1.0 + (i * 37) % 11);
   const bds::testing::SqrtModularOracle proto(weights);

@@ -1,6 +1,6 @@
-// Exact oracle-evaluation-count goldens per (algorithm × worker-oracle mode
-// × lazy on/off), pinned on one frozen coverage instance. Two things are
-// frozen here, deliberately:
+// Exact oracle-evaluation-count goldens per (algorithm × lazy on/off),
+// pinned on one frozen coverage instance. Two things are frozen here,
+// deliberately:
 //
 //  * lazy-off counts are the historical Minoux accounting — a regression
 //    here means an algorithm's evaluation pattern changed, which is a
@@ -9,9 +9,7 @@
 //    evals_avoided), so a change to bound carrying that silently degrades
 //    (or inflates the accounting of) the pruning fails loudly.
 //
-// Counts are mode-invariant (shard views reset their eval counters; the
-// clone/view contract is bit-identical gains), which the table also locks
-// in. Skipped when BDS_FAULT_SEED injects a fault plan into every run —
+// Skipped when BDS_FAULT_SEED injects a fault plan into every run —
 // delivered-work accounting is only frozen for fault-free execution.
 #include <gtest/gtest.h>
 
@@ -29,7 +27,6 @@ namespace {
 
 struct GoldenRow {
   const char* algorithm;
-  WorkerOracleMode mode;
   bool lazy;
   std::uint64_t total_evals;
   std::uint64_t evals_avoided;
@@ -53,47 +50,30 @@ TEST(EvalCountGolden, FrozenPerAlgorithmModeAndLazyGrid) {
   const auto ground = bds::testing::iota_ids(proto.ground_size());
 
   const std::vector<GoldenRow> golden = {
-      {"bicriteria", WorkerOracleMode::kShardView, false, 479u, 0u},
-      {"bicriteria", WorkerOracleMode::kShardView, true, 367u, 797u},
-      {"bicriteria", WorkerOracleMode::kClone, false, 479u, 0u},
-      {"bicriteria", WorkerOracleMode::kClone, true, 367u, 797u},
-      {"hybrid", WorkerOracleMode::kShardView, false, 4024u, 0u},
-      {"hybrid", WorkerOracleMode::kShardView, true, 3328u, 18520u},
-      {"hybrid", WorkerOracleMode::kClone, false, 4024u, 0u},
-      {"hybrid", WorkerOracleMode::kClone, true, 3328u, 18520u},
-      {"naive", WorkerOracleMode::kShardView, false, 357u, 0u},
-      {"naive", WorkerOracleMode::kShardView, true, 294u, 656u},
-      {"naive", WorkerOracleMode::kClone, false, 357u, 0u},
-      {"naive", WorkerOracleMode::kClone, true, 294u, 656u},
-      {"parallel", WorkerOracleMode::kShardView, false, 883u, 0u},
-      {"parallel", WorkerOracleMode::kShardView, true, 443u, 2072u},
-      {"parallel", WorkerOracleMode::kClone, false, 883u, 0u},
-      {"parallel", WorkerOracleMode::kClone, true, 443u, 2072u},
-      {"greedi", WorkerOracleMode::kShardView, false, 194u, 0u},
-      {"greedi", WorkerOracleMode::kShardView, true, 174u, 301u},
-      {"greedi", WorkerOracleMode::kClone, false, 194u, 0u},
-      {"greedi", WorkerOracleMode::kClone, true, 174u, 301u},
-      {"randgreedi", WorkerOracleMode::kShardView, false, 184u, 0u},
-      {"randgreedi", WorkerOracleMode::kShardView, true, 164u, 311u},
-      {"randgreedi", WorkerOracleMode::kClone, false, 184u, 0u},
-      {"randgreedi", WorkerOracleMode::kClone, true, 164u, 311u},
-      {"multiplicity", WorkerOracleMode::kShardView, false, 4746u, 0u},
-      {"multiplicity", WorkerOracleMode::kShardView, true, 4710u, 23752u},
-      {"multiplicity", WorkerOracleMode::kClone, false, 4746u, 0u},
-      {"multiplicity", WorkerOracleMode::kClone, true, 4710u, 23752u},
+      {"bicriteria", false, 479u, 0u},
+      {"bicriteria", true, 367u, 797u},
+      {"hybrid", false, 4024u, 0u},
+      {"hybrid", true, 3328u, 18520u},
+      {"naive", false, 357u, 0u},
+      {"naive", true, 294u, 656u},
+      {"parallel", false, 883u, 0u},
+      {"parallel", true, 443u, 2072u},
+      {"greedi", false, 194u, 0u},
+      {"greedi", true, 174u, 301u},
+      {"randgreedi", false, 184u, 0u},
+      {"randgreedi", true, 164u, 311u},
+      {"multiplicity", false, 4746u, 0u},
+      {"multiplicity", true, 4710u, 23752u},
       // Threshold workers have no heap to seed: the substrate is inert on
       // scaling by design, and the golden proves it stays that way.
-      {"scaling", WorkerOracleMode::kShardView, false, 247u, 0u},
-      {"scaling", WorkerOracleMode::kShardView, true, 247u, 0u},
-      {"scaling", WorkerOracleMode::kClone, false, 247u, 0u},
-      {"scaling", WorkerOracleMode::kClone, true, 247u, 0u},
+      {"scaling", false, 247u, 0u},
+      {"scaling", true, 247u, 0u},
   };
 
   for (const GoldenRow& row : golden) {
     detail::ForcedLazy guard(row.lazy);
     RuntimeOptions runtime;
     runtime.seed = 7;
-    runtime.worker_oracle = row.mode;
     AlgorithmParams params;
     params.k = 5;
     params.rounds = rounds_for(row.algorithm);
@@ -102,9 +82,7 @@ TEST(EvalCountGolden, FrozenPerAlgorithmModeAndLazyGrid) {
     const RunResult run =
         run_distributed(row.algorithm, proto, ground, runtime, params);
     const std::string label =
-        std::string(row.algorithm) + " mode=" +
-        (row.mode == WorkerOracleMode::kClone ? "clone" : "view") +
-        " lazy=" + (row.lazy ? "on" : "off");
+        std::string(row.algorithm) + " lazy=" + (row.lazy ? "on" : "off");
     EXPECT_EQ(run.stats.total_evals(), row.total_evals) << label;
     EXPECT_EQ(run.stats.total_evals_avoided(), row.evals_avoided) << label;
   }

@@ -1,13 +1,13 @@
-// The batch-oracle contract (objectives/submodular.h + core/batch_eval.h):
+// The batch-oracle contract (objectives/submodular.h):
 //
 //  * gain_batch produces exactly the values the scalar gain() path would —
 //    same floating-point accumulation order — for every oracle type, both
 //    the cache-friendly overrides (coverage family, exemplar) and the
 //    default scalar-loop kernel;
 //  * a batch of B elements charges exactly B evaluations to the owning
-//    oracle on every path, including the parallel evaluator;
+//    oracle;
 //  * selections made by greedy / lazy_greedy are unchanged by the batched
-//    rewiring, with and without the parallel evaluator.
+//    rewiring.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,10 +18,8 @@
 #include <string>
 #include <vector>
 
-#include "core/batch_eval.h"
 #include "core/greedy.h"
 #include "data/prob_gen.h"
-#include "dist/thread_pool.h"
 #include "objectives/coverage.h"
 #include "objectives/exemplar.h"
 #include "objectives/prob_coverage.h"
@@ -197,39 +195,6 @@ TEST_P(GainBatchTest, BatchCountsOneEvalPerElement) {
   const std::uint64_t before = oracle->evals();
   oracle->gain_batch(xs, out);
   EXPECT_EQ(oracle->evals(), before + xs.size());
-
-  // Unaccounted evaluation leaves the counter alone; charge_evals pairs
-  // with it to restore exact accounting.
-  oracle->gain_batch_unaccounted(xs, out);
-  EXPECT_EQ(oracle->evals(), before + xs.size());
-  oracle->charge_evals(xs.size());
-  EXPECT_EQ(oracle->evals(), before + 2 * xs.size());
-}
-
-TEST_P(GainBatchTest, ParallelEvaluatorMatchesSerialAndCountsOnce) {
-  const auto serial_oracle = GetParam().make();
-  const auto parallel_oracle = GetParam().make();
-  // Same pinned growth on both copies.
-  for (ElementId x : {2u, 5u, 11u}) {
-    serial_oracle->add(x);
-    parallel_oracle->add(x);
-  }
-  const std::vector<ElementId> xs = probe_ids(serial_oracle->ground_size());
-
-  std::vector<double> serial(xs.size());
-  serial_oracle->gain_batch(xs, serial);
-
-  dist::ThreadPool pool(4);
-  BatchEvalOptions options;
-  options.pool = &pool;
-  options.min_parallel = 0;  // force the parallel path
-  options.grain = 7;         // deliberately awkward chunking
-  std::vector<double> parallel(xs.size());
-  const std::uint64_t before = parallel_oracle->evals();
-  evaluate_gains(*parallel_oracle, xs, parallel, options);
-
-  EXPECT_EQ(serial, parallel) << GetParam().name;
-  EXPECT_EQ(parallel_oracle->evals(), before + xs.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllOracles, GainBatchTest,
@@ -303,63 +268,9 @@ TEST_P(SelectorRegressionTest, LazyGreedyPicksUnchangedByBatching) {
   EXPECT_EQ(reference.gains, lazy.gains) << GetParam().name;
 }
 
-TEST_P(SelectorRegressionTest, ParallelBatchKeepsSelectionsIdentical) {
-  dist::ThreadPool pool(4);
-  GreedyOptions parallel_options{true};
-  parallel_options.batch.pool = &pool;
-  parallel_options.batch.min_parallel = 0;
-  parallel_options.batch.grain = 5;
-
-  const auto serial_oracle = GetParam().make();
-  const auto parallel_oracle = GetParam().make();
-  const auto ids = testing::iota_ids(serial_oracle->ground_size());
-  const GreedyResult serial =
-      greedy(*serial_oracle, ids, 10, GreedyOptions{true});
-  const GreedyResult parallel =
-      greedy(*parallel_oracle, ids, 10, parallel_options);
-  EXPECT_EQ(serial.picks, parallel.picks) << GetParam().name;
-  EXPECT_EQ(serial_oracle->evals(), parallel_oracle->evals());
-
-  const auto serial_lazy = GetParam().make();
-  const auto parallel_lazy = GetParam().make();
-  const GreedyResult lazy_serial =
-      lazy_greedy(*serial_lazy, ids, 10, GreedyOptions{true});
-  const GreedyResult lazy_parallel =
-      lazy_greedy(*parallel_lazy, ids, 10, parallel_options);
-  EXPECT_EQ(lazy_serial.picks, lazy_parallel.picks) << GetParam().name;
-  EXPECT_EQ(serial_lazy->evals(), parallel_lazy->evals());
-}
-
 INSTANTIATE_TEST_SUITE_P(AllOracles, SelectorRegressionTest,
                          ::testing::ValuesIn(all_cases()),
                          [](const auto& info) { return info.param.name; });
-
-// Stochastic greedy consumes the RNG identically on both paths (the batch
-// only replaces the gain scan), so picks must match the seed behavior too.
-TEST(StochasticGreedyBatch, SampleScanUnchangedByParallelBatch) {
-  const auto sets = testing::random_set_system(200, 400, 0.03, 31);
-  dist::ThreadPool pool(4);
-  StochasticGreedyOptions parallel_options;
-  parallel_options.stop_when_no_gain = true;
-  parallel_options.batch.pool = &pool;
-  parallel_options.batch.min_parallel = 0;
-  parallel_options.batch.grain = 9;
-  StochasticGreedyOptions serial_options;
-  serial_options.stop_when_no_gain = true;
-
-  CoverageOracle serial_oracle(sets);
-  CoverageOracle parallel_oracle(sets);
-  const auto ids = testing::iota_ids(sets->num_sets());
-  util::Rng serial_rng(77);
-  util::Rng parallel_rng(77);
-  const GreedyResult serial =
-      stochastic_greedy(serial_oracle, ids, 15, serial_rng, serial_options);
-  const GreedyResult parallel = stochastic_greedy(parallel_oracle, ids, 15,
-                                                  parallel_rng,
-                                                  parallel_options);
-  EXPECT_EQ(serial.picks, parallel.picks);
-  EXPECT_EQ(serial_oracle.evals(), parallel_oracle.evals());
-}
 
 }  // namespace
 }  // namespace bds

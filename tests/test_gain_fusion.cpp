@@ -104,14 +104,14 @@ TEST(GainFusion, ConcurrentFusedEvaluationsMatchUnfused) {
                                              end - begin);
       fused[t].resize(slice.size());
       // Two passes per thread so combiners see queued work arrive mid-round.
-      clone->gain_batch_unaccounted(slice, fused[t]);
-      clone->gain_batch_unaccounted(slice, fused[t]);
+      clone->gain_batch(slice, fused[t]);
+      clone->gain_batch(slice, fused[t]);
     });
   }
   for (auto& w : workers) w.join();
 
   std::vector<double> expected(ground.size());
-  plain.gain_batch_unaccounted(ground, expected);
+  plain.gain_batch(ground, expected);
   for (std::size_t t = 0; t < kThreads; ++t) {
     const std::size_t begin = t * chunk;
     for (std::size_t i = 0; i < fused[t].size(); ++i) {

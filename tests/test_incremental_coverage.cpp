@@ -1,8 +1,8 @@
 // Inverted-index incremental coverage (objectives/coverage_incremental.h):
 // residuals must track the scan-based CoverageOracle gain exactly — integer
 // counts, so equality is exact, not approximate — after every add, and the
-// make_incremental_coverage upgrade must be a drop-in replacement on the
-// coordinator filter path.
+// incremental oracle must be a drop-in replacement for the scan-based one in
+// distributed runs.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,7 +13,6 @@
 #include "core/greedy.h"
 #include "objectives/coverage.h"
 #include "objectives/coverage_incremental.h"
-#include "objectives/prob_coverage.h"
 #include "test_support.h"
 #include "util/rng.h"
 
@@ -66,34 +65,6 @@ TEST(IncrementalCoverage, LazyGreedySelectionsIdentical) {
   EXPECT_EQ(incremental.evals(), scalar.evals());
 }
 
-TEST(IncrementalCoverage, UpgradeReplaysAccumulatedState) {
-  const auto sets = testing::random_set_system(30, 150, 0.06, 35);
-  CoverageOracle proto(sets);
-  proto.add(ElementId{3});
-  proto.add(ElementId{11});
-
-  const auto upgraded = make_incremental_coverage(proto);
-  ASSERT_NE(upgraded, nullptr);
-  EXPECT_EQ(upgraded->current_set(), proto.current_set());
-  EXPECT_EQ(upgraded->value(), proto.value());
-  EXPECT_EQ(upgraded->evals(), 0u) << "replay must not be charged";
-  for (const ElementId x : testing::iota_ids(30)) {
-    EXPECT_EQ(upgraded->gain(x), proto.gain(x));
-  }
-}
-
-TEST(IncrementalCoverage, UpgradeRefusesNonCoverageObjectives) {
-  // Weighted / probabilistic residuals would drift under FP decrements, so
-  // the factory must decline them (callers fall back to clone()).
-  const auto sets = testing::random_set_system(10, 50, 0.2, 36);
-  std::vector<double> weights(50, 1.5);
-  WeightedCoverageOracle weighted(sets, std::move(weights));
-  EXPECT_EQ(make_incremental_coverage(weighted), nullptr);
-
-  testing::SqrtModularOracle sqrt_oracle({1.0, 2.0, 3.0});
-  EXPECT_EQ(make_incremental_coverage(sqrt_oracle), nullptr);
-}
-
 TEST(IncrementalCoverage, ShardViewOfIncrementalMatchesScalarClone) {
   const auto sets = testing::random_set_system(50, 2500, 0.005, 37);
   CoverageOracle scalar(sets);
@@ -108,6 +79,8 @@ TEST(IncrementalCoverage, ShardViewOfIncrementalMatchesScalarClone) {
                                         ElementId{33}, ElementId{49}};
   const auto view = incremental.shard_view(shard);
   const auto reference = scalar.clone();
+  // The worker oracle is a clone: it carries the full residual state.
+  EXPECT_EQ(view->state_bytes(), incremental.clone()->state_bytes());
   for (const ElementId x : shard) {
     EXPECT_EQ(view->gain(x), reference->gain(x));
   }
@@ -116,8 +89,6 @@ TEST(IncrementalCoverage, ShardViewOfIncrementalMatchesScalarClone) {
   for (const ElementId x : shard) {
     EXPECT_EQ(view->gain(x), reference->gain(x));
   }
-  // O(1) gains carry O(shard) state: strictly smaller than the full oracle.
-  EXPECT_LT(view->state_bytes(), incremental.clone()->state_bytes());
 }
 
 TEST(IncrementalCoverage, EvalAccountingCheaperInWork) {
@@ -141,10 +112,12 @@ TEST(IncrementalCoverage, EvalAccountingCheaperInWork) {
 }
 
 TEST(IncrementalCoverage, DistributedRunsBitIdenticalWithUpgrade) {
-  // End-to-end: the same bicriteria / baseline run with the coordinator
-  // upgraded must produce identical solutions and values.
+  // End-to-end: the same bicriteria / baseline run with the scan-based
+  // oracle upgraded to the incremental one must produce identical
+  // solutions, values and evaluation counts.
   const auto sets = testing::random_set_system(120, 600, 0.02, 40);
-  CoverageOracle proto(sets);
+  CoverageOracle scalar(sets);
+  IncrementalCoverageOracle incremental(sets);
   const std::vector<ElementId> ground = testing::iota_ids(120);
 
   BicriteriaConfig config;
@@ -153,9 +126,9 @@ TEST(IncrementalCoverage, DistributedRunsBitIdenticalWithUpgrade) {
   config.output_items = 10;
   config.rounds = 2;
   config.runtime.seed = 9;
-  const DistributedResult plain = bicriteria_greedy(proto, ground, config);
-  config.runtime.incremental_gains = true;
-  const DistributedResult upgraded = bicriteria_greedy(proto, ground, config);
+  const DistributedResult plain = bicriteria_greedy(scalar, ground, config);
+  const DistributedResult upgraded =
+      bicriteria_greedy(incremental, ground, config);
   EXPECT_EQ(upgraded.solution, plain.solution);
   EXPECT_EQ(upgraded.value, plain.value);
   EXPECT_EQ(upgraded.stats.total_evals(), plain.stats.total_evals());
@@ -163,10 +136,9 @@ TEST(IncrementalCoverage, DistributedRunsBitIdenticalWithUpgrade) {
   OneRoundConfig one_round;
   one_round.k = 5;
   one_round.runtime.seed = 9;
-  const DistributedResult rg_plain = rand_greedi(proto, ground, one_round);
-  one_round.runtime.incremental_gains = true;
+  const DistributedResult rg_plain = rand_greedi(scalar, ground, one_round);
   const DistributedResult rg_upgraded =
-      rand_greedi(proto, ground, one_round);
+      rand_greedi(incremental, ground, one_round);
   EXPECT_EQ(rg_upgraded.solution, rg_plain.solution);
   EXPECT_EQ(rg_upgraded.value, rg_plain.value);
 }

@@ -261,8 +261,8 @@ TEST_F(IoTest, MappedProbSetSystemBitIdentical) {
   }
 }
 
-// Shard views sliced out of a mapped system must match the heap-loaded
-// ones; a worker's compacted state then references only its shard's rows.
+// Worker oracles (shard_view) built over a mapped system must match the
+// heap-loaded ones gain for gain and add for add.
 TEST_F(IoTest, MappedShardViewMatchesHeap) {
   const auto original = bds::testing::random_set_system(40, 60, 0.2, 13);
   save_set_system(*original, path_);

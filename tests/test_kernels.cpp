@@ -5,11 +5,11 @@
 //  * the equivalence suite: every supported ISA tier must produce doubles
 //    bit-identical to the scalar lane reference, and the legacy sequential
 //    path must agree within 1e-9 relative;
-//  * oracle-level determinism: gain == gain_batch == parallel batch ==
-//    add's realized gain, bitwise, at any thread count;
+//  * oracle-level determinism: gain == gain_batch == add's realized gain,
+//    bitwise;
 //  * the golden selection regression: bicriteria on an exemplar workload
-//    picks identical elements under BDS_KERNEL=auto and =scalar, serial
-//    and parallel.
+//    picks identical elements under BDS_KERNEL=auto and =scalar, on 1 and
+//    8 host threads.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -17,10 +17,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/batch_eval.h"
 #include "core/bicriteria.h"
 #include "data/vectors_gen.h"
-#include "dist/thread_pool.h"
 #include "objectives/exemplar.h"
 #include "util/aligned.h"
 #include "util/kernels.h"
@@ -465,62 +463,6 @@ TEST(KernelOracle, LegacyAgreesWithinRelativeTolerance) {
   }
 }
 
-TEST(KernelOracle, ParallelBatchBitIdenticalAtAnyThreadCount) {
-  // Pin a lane mode: under BDS_KERNEL=legacy the oracle (correctly)
-  // declines the internal parallel path this test is about.
-  kern::ForcedMode forced(kern::Mode::kAuto);
-  auto points = small_workload(1500, 16);
-  ExemplarOracle oracle(points, 2.0);
-  oracle.add(3);
-  std::vector<ElementId> xs;
-  for (ElementId x = 0; x < 64; ++x) xs.push_back((x * 23 + 5) % 1500);
-
-  std::vector<double> serial(xs.size());
-  oracle.gain_batch_unaccounted(xs, serial);
-  for (const std::size_t threads : {2u, 5u, 8u}) {
-    dist::ThreadPool pool(threads);
-    std::vector<double> par(xs.size());
-    ASSERT_TRUE(oracle.gain_batch_parallel_unaccounted(xs, par, pool))
-        << threads << " threads";
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      expect_bits_eq(par[i], serial[i]);
-    }
-  }
-}
-
-TEST(KernelOracle, ParallelBatchDeclinesTinyWork) {
-  auto points = small_workload(100, 8);
-  ExemplarOracle oracle(points, 2.0);
-  dist::ThreadPool pool(4);
-  const std::vector<ElementId> xs = {1, 2, 3};
-  std::vector<double> out(xs.size());
-  // 3 × 100 pairs is far below the fork threshold.
-  EXPECT_FALSE(oracle.gain_batch_parallel_unaccounted(xs, out, pool));
-  // evaluate_gains falls back and still fills the answers.
-  BatchEvalOptions opts;
-  opts.pool = &pool;
-  evaluate_gains(oracle, xs, out, opts);
-  std::vector<double> ref(xs.size());
-  oracle.gain_batch_unaccounted(xs, ref);
-  for (std::size_t i = 0; i < xs.size(); ++i) expect_bits_eq(out[i], ref[i]);
-}
-
-TEST(KernelOracle, SampledOracleParallelMatchesSerialBitwise) {
-  kern::ForcedMode forced(kern::Mode::kAuto);
-  auto points = small_workload(1200, 16);
-  util::Rng rng(5);
-  SampledExemplarOracle oracle(points, 2.0, 400, rng);
-  oracle.add(9);
-  std::vector<ElementId> xs;
-  for (ElementId x = 0; x < 256; ++x) xs.push_back((x * 31 + 7) % 1200);
-  std::vector<double> serial(xs.size());
-  oracle.gain_batch_unaccounted(xs, serial);
-  dist::ThreadPool pool(3);
-  std::vector<double> par(xs.size());
-  ASSERT_TRUE(oracle.gain_batch_parallel_unaccounted(xs, par, pool));
-  for (std::size_t i = 0; i < xs.size(); ++i) expect_bits_eq(par[i], serial[i]);
-}
-
 // --- golden determinism regression (satellite: BDS_KERNEL × threads) --------
 
 TEST(KernelDeterminismRegression, BicriteriaSelectionsInvariantAcrossModes) {
@@ -531,7 +473,7 @@ TEST(KernelDeterminismRegression, BicriteriaSelectionsInvariantAcrossModes) {
     ground[i] = static_cast<ElementId>(i);
   }
 
-  const auto run = [&](kern::Mode mode, std::size_t threads, bool parallel) {
+  const auto run = [&](kern::Mode mode, std::size_t threads) {
     kern::ForcedMode forced(mode);
     BicriteriaConfig cfg;
     cfg.k = 6;
@@ -539,15 +481,14 @@ TEST(KernelDeterminismRegression, BicriteriaSelectionsInvariantAcrossModes) {
     cfg.rounds = 2;
     cfg.runtime.seed = 7;
     cfg.runtime.threads = threads;
-    cfg.runtime.parallel_central = parallel;
     return bicriteria_greedy(proto, ground, cfg);
   };
 
-  const auto golden = run(kern::Mode::kAuto, 1, false);
+  const auto golden = run(kern::Mode::kAuto, 1);
   ASSERT_EQ(golden.solution.size(), 10u);
   for (const kern::Mode mode : {kern::Mode::kAuto, kern::Mode::kScalar}) {
     for (const std::size_t threads : {1u, 8u}) {
-      const auto got = run(mode, threads, threads > 1);
+      const auto got = run(mode, threads);
       EXPECT_EQ(got.solution, golden.solution)
           << kern::isa_name(kern::active_isa()) << " threads=" << threads;
       EXPECT_DOUBLE_EQ(got.value, golden.value);

@@ -230,12 +230,11 @@ struct EngineGridCase {
 
 RunResult run_grid_case(const CoverageOracle& proto,
                         const std::vector<ElementId>& ground,
-                        const EngineGridCase& c, WorkerOracleMode mode,
-                        bool faulted, std::uint64_t seed, bool lazy) {
+                        const EngineGridCase& c, bool faulted,
+                        std::uint64_t seed, bool lazy) {
   ForcedLazy guard(lazy);
   RuntimeOptions runtime;
   runtime.seed = seed;
-  runtime.worker_oracle = mode;
   if (faulted) runtime.faults = dist::FaultPlan::recoverable(1000 + seed);
   AlgorithmParams params;
   params.k = 5;
@@ -254,34 +253,28 @@ TEST(LazyEngineIdentity, MatchesEagerAcrossAlgorithmsModesFaultsSeeds) {
       {"multiplicity", 2}, {"scaling", 2},
   };
   for (const auto& c : cases) {
-    for (const WorkerOracleMode mode :
-         {WorkerOracleMode::kShardView, WorkerOracleMode::kClone}) {
-      for (const bool faulted : {false, true}) {
-        for (const std::uint64_t seed : {1u, 2u}) {
-          const RunResult eager =
-              run_grid_case(proto, ground, c, mode, faulted, seed, false);
-          const RunResult lazy =
-              run_grid_case(proto, ground, c, mode, faulted, seed, true);
-          const std::string label = c.algorithm + " mode=" +
-                                    (mode == WorkerOracleMode::kClone
-                                         ? "clone"
-                                         : "view") +
-                                    (faulted ? " faulted" : " healthy") +
-                                    " seed=" + std::to_string(seed);
-          EXPECT_EQ(eager.solution, lazy.solution) << label;
-          EXPECT_EQ(eager.value, lazy.value) << label;
-          ASSERT_EQ(eager.rounds.size(), lazy.rounds.size()) << label;
-          for (std::size_t r = 0; r < eager.rounds.size(); ++r) {
-            EXPECT_EQ(eager.rounds[r].items_added, lazy.rounds[r].items_added)
-                << label << " round " << r;
-            EXPECT_EQ(eager.rounds[r].value_after, lazy.rounds[r].value_after)
-                << label << " round " << r;
-          }
-          // The substrate only removes evaluations.
-          EXPECT_LE(lazy.stats.total_evals(), eager.stats.total_evals())
-              << label;
-          EXPECT_EQ(eager.stats.total_evals_avoided(), 0u) << label;
+    for (const bool faulted : {false, true}) {
+      for (const std::uint64_t seed : {1u, 2u}) {
+        const RunResult eager =
+            run_grid_case(proto, ground, c, faulted, seed, false);
+        const RunResult lazy =
+            run_grid_case(proto, ground, c, faulted, seed, true);
+        const std::string label = c.algorithm +
+                                  (faulted ? " faulted" : " healthy") +
+                                  " seed=" + std::to_string(seed);
+        EXPECT_EQ(eager.solution, lazy.solution) << label;
+        EXPECT_EQ(eager.value, lazy.value) << label;
+        ASSERT_EQ(eager.rounds.size(), lazy.rounds.size()) << label;
+        for (std::size_t r = 0; r < eager.rounds.size(); ++r) {
+          EXPECT_EQ(eager.rounds[r].items_added, lazy.rounds[r].items_added)
+              << label << " round " << r;
+          EXPECT_EQ(eager.rounds[r].value_after, lazy.rounds[r].value_after)
+              << label << " round " << r;
         }
+        // The substrate only removes evaluations.
+        EXPECT_LE(lazy.stats.total_evals(), eager.stats.total_evals())
+            << label;
+        EXPECT_EQ(eager.stats.total_evals_avoided(), 0u) << label;
       }
     }
   }
@@ -291,12 +284,8 @@ TEST(LazyEngineIdentity, MultiRoundRunsActuallyAvoidEvals) {
   const auto proto = lazy_proto(99);
   const auto ground = iota_ids(proto.ground_size());
   const EngineGridCase c{"bicriteria", 3};
-  const RunResult eager = run_grid_case(proto, ground, c,
-                                        WorkerOracleMode::kShardView, false,
-                                        1, false);
-  const RunResult lazy = run_grid_case(proto, ground, c,
-                                       WorkerOracleMode::kShardView, false,
-                                       1, true);
+  const RunResult eager = run_grid_case(proto, ground, c, false, 1, false);
+  const RunResult lazy = run_grid_case(proto, ground, c, false, 1, true);
   EXPECT_LT(lazy.stats.total_evals(), eager.stats.total_evals());
   EXPECT_GT(lazy.stats.total_evals_avoided(), 0u);
   EXPECT_EQ(eager.solution, lazy.solution);

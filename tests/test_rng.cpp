@@ -146,10 +146,10 @@ TEST(Rng, ShuffleHandlesDegenerateSizes) {
 
 TEST(Rng, SampleWithoutReplacementDistinctAndInRange) {
   Rng rng(41);
-  for (const auto [n, k] : {std::pair<std::uint64_t, std::uint64_t>{100, 5},
-                            {100, 50},
-                            {100, 100},
-                            {1'000'000, 10}}) {
+  for (const auto& [n, k] : {std::pair<std::uint64_t, std::uint64_t>{100, 5},
+                             {100, 50},
+                             {100, 100},
+                             {1'000'000, 10}}) {
     const auto sample = rng.sample_without_replacement(n, k);
     ASSERT_EQ(sample.size(), k);
     std::set<std::uint64_t> unique(sample.begin(), sample.end());

@@ -151,10 +151,6 @@ TEST(Serve, CertifiedFieldChangesMissTheCache) {
   other_alg.algorithm = "greedi";
   EXPECT_EQ(service.query(other_alg).outcome, ServeOutcome::kComputed);
 
-  Query other_mode = base_query(8);
-  other_mode.runtime.worker_oracle = WorkerOracleMode::kClone;
-  EXPECT_EQ(service.query(other_mode).outcome, ServeOutcome::kComputed);
-
   // The original configuration is still cached.
   EXPECT_EQ(service.query(base_query(8)).outcome, ServeOutcome::kHit);
 }

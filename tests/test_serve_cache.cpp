@@ -84,18 +84,6 @@ TEST(ServeCache, KeyInvalidationOnEveryCertifiedField) {
   seeded.seed = 99;
   variants.push_back(
       make_key("corpus", "coverage", "bicriteria", 0.1, 2, 4, seeded));
-  RuntimeOptions oracle_mode = runtime;
-  oracle_mode.worker_oracle = WorkerOracleMode::kClone;
-  variants.push_back(
-      make_key("corpus", "coverage", "bicriteria", 0.1, 2, 4, oracle_mode));
-  RuntimeOptions incremental = runtime;
-  incremental.incremental_gains = true;
-  variants.push_back(
-      make_key("corpus", "coverage", "bicriteria", 0.1, 2, 4, incremental));
-  RuntimeOptions central = runtime;
-  central.parallel_central = true;
-  variants.push_back(
-      make_key("corpus", "coverage", "bicriteria", 0.1, 2, 4, central));
 
   SummaryCache cache(32);
   CachedSummary seed_entry;

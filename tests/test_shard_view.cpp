@@ -1,15 +1,13 @@
-// Shard-compacted view contract (objectives/shard_view.h): over the
-// elements of its shard, a view must be *bit-identical* to a clone of the
-// same oracle — same gains (exact double equality), same realized add
-// gains, same selections, same evaluation accounting — while compacted
-// families keep only O(shard)-sized mutable state and reject out-of-shard
-// queries. Parametrized over every oracle family in the tree, including
-// the clone-fallback ones (exemplar, logdet), for which the view is simply
-// a clone and every guarantee except compaction still holds.
+// Worker-oracle contract (SubmodularOracle::shard_view): over the elements
+// of its shard, the oracle a distributed worker runs must be *bit-identical*
+// to a clone of the coordinator oracle — same gains (exact double equality),
+// same realized add gains, same selections, same evaluation accounting —
+// starting from the coordinator's accumulated set. Parametrized over every
+// oracle family in the tree.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -51,8 +49,7 @@ std::vector<double> random_weights(std::size_t n, std::uint64_t seed) {
 }
 
 // Block-sparse similarity matrix: elements interact mostly within their
-// block, so a shard drawn from few blocks leaves many all-zero rows for the
-// saturated view to drop.
+// block.
 std::shared_ptr<const SimilarityMatrix> block_similarity(std::size_t n,
                                                          std::size_t blocks,
                                                          std::uint64_t seed) {
@@ -86,42 +83,45 @@ std::shared_ptr<const PointSet> random_points(std::size_t n, std::size_t dim,
 
 struct FamilyParam {
   std::string name;
-  std::unique_ptr<SubmodularOracle> (*build)();
-  bool compacted;  // expected supports_compacted_shard_view()
+  std::unique_ptr<SubmodularOracle> (*build)(std::uint64_t seed);
+  std::uint64_t seed;  // data seed handed to build
 };
 
-std::unique_ptr<SubmodularOracle> build_coverage() {
+std::unique_ptr<SubmodularOracle> build_coverage(std::uint64_t seed) {
   return std::make_unique<CoverageOracle>(
-      testing::random_set_system(60, 3000, 0.004, 11));
+      testing::random_set_system(60, 3000, 0.004, seed));
 }
 
-std::unique_ptr<SubmodularOracle> build_weighted_coverage() {
+std::unique_ptr<SubmodularOracle> build_weighted_coverage(std::uint64_t seed) {
   return std::make_unique<WeightedCoverageOracle>(
-      testing::random_set_system(60, 3000, 0.004, 12),
-      random_weights(3000, 13));
+      testing::random_set_system(60, 3000, 0.004, seed),
+      random_weights(3000, seed + 1));
 }
 
-std::unique_ptr<SubmodularOracle> build_prob_coverage() {
+std::unique_ptr<SubmodularOracle> build_prob_coverage(std::uint64_t seed) {
   return std::make_unique<ProbCoverageOracle>(
-      random_prob_sets(60, 3000, 0.004, 14));
+      random_prob_sets(60, 3000, 0.004, seed));
 }
 
-std::unique_ptr<SubmodularOracle> build_weighted_prob_coverage() {
+std::unique_ptr<SubmodularOracle> build_weighted_prob_coverage(
+    std::uint64_t seed) {
   return std::make_unique<ProbCoverageOracle>(
-      random_prob_sets(60, 3000, 0.004, 15), random_weights(3000, 16));
+      random_prob_sets(60, 3000, 0.004, seed), random_weights(3000, seed + 1));
 }
 
-std::unique_ptr<SubmodularOracle> build_incremental_coverage() {
+std::unique_ptr<SubmodularOracle> build_incremental_coverage(
+    std::uint64_t seed) {
   return std::make_unique<IncrementalCoverageOracle>(
-      testing::random_set_system(60, 3000, 0.004, 11));
+      testing::random_set_system(60, 3000, 0.004, seed));
 }
 
-std::unique_ptr<SubmodularOracle> build_saturated() {
+std::unique_ptr<SubmodularOracle> build_saturated(std::uint64_t seed) {
   return std::make_unique<SaturatedCoverageOracle>(
-      block_similarity(48, 6, 17), SaturatedCoverageConfig{0.3, {}, 0.0});
+      block_similarity(48, 6, seed), SaturatedCoverageConfig{0.3, {}, 0.0});
 }
 
-std::unique_ptr<SubmodularOracle> build_saturated_diversity() {
+std::unique_ptr<SubmodularOracle> build_saturated_diversity(
+    std::uint64_t seed) {
   const std::size_t n = 48;
   SaturatedCoverageConfig config;
   config.gamma = 0.3;
@@ -130,20 +130,24 @@ std::unique_ptr<SubmodularOracle> build_saturated_diversity() {
   for (std::size_t i = 0; i < n; ++i) {
     config.cluster_of[i] = static_cast<std::uint32_t>(i % 5);
   }
-  return std::make_unique<SaturatedCoverageOracle>(block_similarity(n, 6, 18),
-                                                   std::move(config));
+  return std::make_unique<SaturatedCoverageOracle>(
+      block_similarity(n, 6, seed), std::move(config));
 }
 
-std::unique_ptr<SubmodularOracle> build_exemplar() {
-  return std::make_unique<ExemplarOracle>(random_points(80, 6, 19), 2.0);
+std::unique_ptr<SubmodularOracle> build_exemplar(std::uint64_t seed) {
+  return std::make_unique<ExemplarOracle>(random_points(80, 6, seed), 2.0);
 }
 
-std::unique_ptr<SubmodularOracle> build_logdet() {
-  return std::make_unique<LogDetOracle>(random_points(40, 6, 20), 1.0, 0.5);
+std::unique_ptr<SubmodularOracle> build_logdet(std::uint64_t seed) {
+  return std::make_unique<LogDetOracle>(random_points(40, 6, seed), 1.0, 0.5);
 }
 
 class ShardViewFamily : public ::testing::TestWithParam<FamilyParam> {
  protected:
+  std::unique_ptr<SubmodularOracle> build() const {
+    return GetParam().build(GetParam().seed);
+  }
+
   // A deterministic shard: every third element, plus the tail element.
   static std::vector<ElementId> make_shard(std::size_t ground) {
     std::vector<ElementId> shard;
@@ -163,16 +167,11 @@ class ShardViewFamily : public ::testing::TestWithParam<FamilyParam> {
   }
 };
 
-TEST_P(ShardViewFamily, ReportsExpectedCompaction) {
-  const auto proto = GetParam().build();
-  EXPECT_EQ(proto->supports_compacted_shard_view(), GetParam().compacted);
-}
-
 TEST_P(ShardViewFamily, GainsBitIdenticalToCloneWithSeededState) {
-  const auto proto = GetParam().build();
+  const auto proto = build();
   const std::size_t ground = proto->ground_size();
-  // Non-empty coordinator state: the view must project the accumulated S,
-  // not start from scratch.
+  // Non-empty coordinator state: the worker oracle must start from the
+  // accumulated S, not from scratch.
   for (const ElementId s : make_seed(ground)) proto->add(s);
 
   const std::vector<ElementId> shard = make_shard(ground);
@@ -196,7 +195,7 @@ TEST_P(ShardViewFamily, GainsBitIdenticalToCloneWithSeededState) {
 }
 
 TEST_P(ShardViewFamily, AddsStayBitIdenticalToClone) {
-  const auto proto = GetParam().build();
+  const auto proto = build();
   const std::size_t ground = proto->ground_size();
   for (const ElementId s : make_seed(ground)) proto->add(s);
 
@@ -221,7 +220,7 @@ TEST_P(ShardViewFamily, AddsStayBitIdenticalToClone) {
 }
 
 TEST_P(ShardViewFamily, LazyGreedySelectionsIdentical) {
-  const auto proto = GetParam().build();
+  const auto proto = build();
   const std::size_t ground = proto->ground_size();
   for (const ElementId s : make_seed(ground)) proto->add(s);
 
@@ -236,27 +235,8 @@ TEST_P(ShardViewFamily, LazyGreedySelectionsIdentical) {
   EXPECT_EQ(view->evals(), clone->evals());
 }
 
-TEST_P(ShardViewFamily, CompactedViewRejectsOutsideShardAndShrinksState) {
-  const auto proto = GetParam().build();
-  if (!proto->supports_compacted_shard_view()) GTEST_SKIP();
-  const std::size_t ground = proto->ground_size();
-
-  // A small shard: 4 elements out of the whole ground set.
-  const std::vector<ElementId> shard = {
-      ElementId{0}, ElementId{3}, static_cast<ElementId>(ground / 2),
-      static_cast<ElementId>(ground - 1)};
-  const auto view = proto->shard_view(shard);
-
-  const auto outside = static_cast<ElementId>(1);
-  EXPECT_THROW(view->gain(outside), std::out_of_range);
-  EXPECT_THROW(view->add(outside), std::out_of_range);
-
-  // Compaction: the 4-element view must be strictly smaller than a clone.
-  EXPECT_LT(view->state_bytes(), proto->clone()->state_bytes());
-}
-
 TEST_P(ShardViewFamily, DuplicateShardEntriesCollapse) {
-  const auto proto = GetParam().build();
+  const auto proto = build();
   const std::vector<ElementId> shard = {ElementId{5}, ElementId{2},
                                         ElementId{5}, ElementId{2},
                                         ElementId{9}};
@@ -270,43 +250,23 @@ TEST_P(ShardViewFamily, DuplicateShardEntriesCollapse) {
 INSTANTIATE_TEST_SUITE_P(
     AllFamilies, ShardViewFamily,
     ::testing::Values(
-        FamilyParam{"Coverage", &build_coverage, true},
-        FamilyParam{"WeightedCoverage", &build_weighted_coverage, true},
-        FamilyParam{"ProbCoverage", &build_prob_coverage, true},
+        FamilyParam{"Coverage", &build_coverage, 11},
+        FamilyParam{"WeightedCoverage", &build_weighted_coverage, 12},
+        FamilyParam{"ProbCoverage", &build_prob_coverage, 14},
         FamilyParam{"WeightedProbCoverage", &build_weighted_prob_coverage,
-                    true},
-        FamilyParam{"IncrementalCoverage", &build_incremental_coverage, true},
-        FamilyParam{"SaturatedCoverage", &build_saturated, true},
+                    15},
+        FamilyParam{"IncrementalCoverage", &build_incremental_coverage, 11},
+        FamilyParam{"SaturatedCoverage", &build_saturated, 17},
         FamilyParam{"SaturatedCoverageDiversity", &build_saturated_diversity,
-                    true},
-        FamilyParam{"Exemplar", &build_exemplar, false},
-        FamilyParam{"LogDet", &build_logdet, false}),
+                    18},
+        FamilyParam{"Exemplar", &build_exemplar, 19},
+        FamilyParam{"LogDet", &build_logdet, 20}),
     [](const ::testing::TestParamInfo<FamilyParam>& info) {
       return info.param.name;
     });
 
-// The saturated view's whole point is dropping similarity rows no shard
-// member touches; with a block-sparse matrix and a single-block shard, the
-// surviving-row state must be far below the clone's O(n) footprint.
-TEST(ShardViewSaturated, DropsRowsOutsideTheShardsBlocks) {
-  const std::size_t n = 48;
-  SaturatedCoverageOracle oracle(block_similarity(n, 6, 21), {0.3, {}, 0.0});
-  // Shard = block 0 (every 6th element): other blocks' rows only intersect
-  // it on the diagonal, which is zero there, so they get dropped.
-  std::vector<ElementId> shard;
-  for (std::size_t i = 0; i < n; i += 6) {
-    shard.push_back(static_cast<ElementId>(i));
-  }
-  const auto view = oracle.shard_view(shard);
-  const auto clone = oracle.clone();
-  EXPECT_LT(view->state_bytes() * 2, clone->state_bytes());
-  for (const ElementId x : shard) {
-    EXPECT_EQ(view->gain(x), clone->gain(x));
-  }
-}
-
-// Views of views: a compacted view is itself an oracle, so cloning it (what
-// a nested round would do) must preserve state and stay consistent.
+// A worker oracle is itself an oracle, so cloning it (what a nested round
+// would do) must preserve its state and stay consistent.
 TEST(ShardViewNesting, CloneOfViewMatchesView) {
   CoverageOracle oracle(testing::random_set_system(40, 200, 0.05, 22));
   oracle.add(ElementId{7});

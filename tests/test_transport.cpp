@@ -28,7 +28,6 @@
 namespace bds {
 namespace {
 
-using dist::MachineReport;
 using dist::WorkerOutput;
 using testing::iota_ids;
 using testing::random_set_system;
@@ -542,7 +541,9 @@ INSTANTIATE_TEST_SUITE_P(Grid, WireCorruption,
 // values (third-roots, negative zero, denormals) must survive bit-exactly.
 
 TEST(WireCodec, WorkerOutputRoundTripsBitExactly) {
-  WorkerOutput output;
+  wire::AttemptResponse response;
+  response.seconds = 0.1 + 0.2;  // famously not 0.3
+  WorkerOutput& output = response.output;
   output.summary = {4, 1, 99};
   output.oracle_evals = 12345;
   output.state_bytes = 67890;
@@ -550,8 +551,11 @@ TEST(WireCodec, WorkerOutputRoundTripsBitExactly) {
   output.bound_gains = {1.0 / 3.0, -0.0, 5e-324};
   output.evals_avoided = 42;
 
-  const WorkerOutput round =
-      wire::decode_worker_output(wire::encode_worker_output(output), "test");
+  const wire::AttemptResponse decoded =
+      wire::decode_response(wire::encode_response(response), "test");
+  EXPECT_EQ(util::double_bits(decoded.seconds),
+            util::double_bits(response.seconds));
+  const WorkerOutput& round = decoded.output;
   EXPECT_EQ(round.summary, output.summary);
   EXPECT_EQ(round.oracle_evals, output.oracle_evals);
   EXPECT_EQ(round.state_bytes, output.state_bytes);
@@ -562,26 +566,6 @@ TEST(WireCodec, WorkerOutputRoundTripsBitExactly) {
               util::double_bits(output.bound_gains[i]));
   }
   EXPECT_EQ(round.evals_avoided, output.evals_avoided);
-}
-
-TEST(WireCodec, MachineReportRoundTripsBitExactly) {
-  MachineReport report;
-  report.worker.summary = {2, 3};
-  report.worker.oracle_evals = 17;
-  report.seconds = 0.1 + 0.2;  // famously not 0.3
-  report.attempts = 3;
-  report.last_fault = dist::FaultKind::kStraggler;
-  report.status = dist::DeliveryStatus::kDegraded;
-
-  const MachineReport round = wire::decode_machine_report(
-      wire::encode_machine_report(report), "test");
-  EXPECT_EQ(round.worker.summary, report.worker.summary);
-  EXPECT_EQ(round.worker.oracle_evals, report.worker.oracle_evals);
-  EXPECT_EQ(util::double_bits(round.seconds),
-            util::double_bits(report.seconds));
-  EXPECT_EQ(round.attempts, report.attempts);
-  EXPECT_EQ(round.last_fault, report.last_fault);
-  EXPECT_EQ(round.status, report.status);
 }
 
 TEST(WireCodec, AttemptRequestRoundTripsPlanShardAndBounds) {
@@ -598,8 +582,6 @@ TEST(WireCodec, AttemptRequestRoundTripsPlanShardAndBounds) {
   request.plan.threshold = 1.0 / 7.0;
   request.plan.seed = 99;
   request.plan.round = 2;
-  request.plan.worker_oracle = WorkerOracleMode::kClone;
-  request.plan.incremental_central = true;
   request.plan.lazy_bounds = true;
   request.plan.committed = {10, 20, 30};
   request.shard = {1, 2, 3, 4};
@@ -623,8 +605,6 @@ TEST(WireCodec, AttemptRequestRoundTripsPlanShardAndBounds) {
             util::double_bits(request.plan.threshold));
   EXPECT_EQ(round.plan.seed, request.plan.seed);
   EXPECT_EQ(round.plan.round, request.plan.round);
-  EXPECT_EQ(round.plan.worker_oracle, request.plan.worker_oracle);
-  EXPECT_EQ(round.plan.incremental_central, request.plan.incremental_central);
   EXPECT_EQ(round.plan.lazy_bounds, request.plan.lazy_bounds);
   EXPECT_EQ(round.plan.committed, request.plan.committed);
   EXPECT_EQ(round.shard, request.shard);
@@ -635,6 +615,57 @@ TEST(WireCodec, AttemptRequestRoundTripsPlanShardAndBounds) {
               util::double_bits(request.bound_gains[i]));
   }
   EXPECT_EQ(round.bound_prefixes, request.bound_prefixes);
+}
+
+// Enum tokens are range-checked on decode: a corrupt or version-skewed
+// request fails naming its field and peer instead of carrying an
+// enumerator that does not exist into the worker.
+std::string encoded_request() {
+  wire::AttemptRequest request;
+  request.round = 2;
+  request.machine = 5;
+  request.attempt = 3;
+  request.fault = dist::FaultKind::kCrash;  // token 1
+  request.plan.kind = dist::WorkerPlanKind::kThreshold;  // token 1
+  request.plan.selector = MachineSelector::kStochasticGreedy;  // token 2
+  return wire::encode_request(request);
+}
+
+std::string replace_once(std::string text, const std::string& from,
+                         const std::string& to) {
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  return text.replace(at, from.size(), to);
+}
+
+void expect_rejected(const std::string& payload, const std::string& field) {
+  try {
+    wire::decode_request(payload, "coordinator");
+    FAIL() << field << " out of range must not decode";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("coordinator"), std::string::npos) << what;
+    EXPECT_NE(what.find(field), std::string::npos) << what;
+  }
+}
+
+TEST(WireCodec, RequestRejectsOutOfRangeFault) {
+  const std::string good = encoded_request();
+  ASSERT_EQ(wire::decode_request(good, "coordinator").fault,
+            dist::FaultKind::kCrash);
+  expect_rejected(
+      replace_once(good, "attempt 2 5 3 1\n", "attempt 2 5 3 5\n"),
+      "fault 5");
+}
+
+TEST(WireCodec, RequestRejectsOutOfRangePlanKind) {
+  expect_rejected(replace_once(encoded_request(), "plan 1 2 ", "plan 3 2 "),
+                  "plan kind 3");
+}
+
+TEST(WireCodec, RequestRejectsOutOfRangeSelector) {
+  expect_rejected(replace_once(encoded_request(), "plan 1 2 ", "plan 1 3 "),
+                  "plan selector 3");
 }
 
 TEST(WireCodec, HelloCarriesPathsWithWhitespace) {
