@@ -8,8 +8,8 @@
 //                   scalar / batch gain paths (plus the batch speedups) to
 //                   `path` (default BENCH_micro.json). The report also
 //                   carries a `kernels` section (exemplar gain_batch under
-//                   BDS_KERNEL=legacy vs the lane scalar kernels vs the
-//                   dispatched SIMD path, across dims), a `faults` section
+//                   the lane scalar kernels vs the dispatched SIMD path,
+//                   across dims), a `faults` section
 //                   (fault-free vs recoverable-fault bicriteria on a
 //                   canonical workload: retry overhead, wasted evals, and
 //                   the degradation delta when shards go unheard), and an
@@ -278,11 +278,9 @@ BENCHMARK(BM_ExemplarSampledGain);
 
 // --- SIMD kernel layer ------------------------------------------------------
 //
-// Exemplar gain_batch across dims and kernel modes: the pre-kernel
-// sequential path (BDS_KERNEL=legacy), the lane-order scalar kernels
-// (=scalar), and the runtime-dispatched SIMD path (=auto). scalar-vs-legacy
-// isolates the cost of the deterministic lane contract; auto-vs-scalar is
-// the SIMD win; auto-vs-legacy is the net speedup the layer delivers.
+// Exemplar gain_batch across dims and kernel modes: the lane-order scalar
+// kernels (BDS_KERNEL=scalar, mode 0) and the runtime-dispatched SIMD path
+// (=auto, mode 1). Their ratio is the SIMD win at bit-identical results.
 
 constexpr std::size_t kKernelPoints = 2'048;
 constexpr std::size_t kKernelBatch = 64;
@@ -301,16 +299,9 @@ std::shared_ptr<const PointSet> kernel_points(std::size_t dim) {
   return entry;
 }
 
-kern::Mode kernel_mode_from_arg(std::int64_t mode) {
-  switch (mode) {
-    case 0: return kern::Mode::kLegacy;
-    case 1: return kern::Mode::kScalar;
-    default: return kern::Mode::kAuto;
-  }
-}
-
 void BM_KernelGainBatch(benchmark::State& state) {
-  kern::ForcedMode forced(kernel_mode_from_arg(state.range(1)));
+  kern::ForcedMode forced(state.range(1) == 0 ? kern::Mode::kScalar
+                                              : kern::Mode::kAuto);
   ExemplarOracle oracle(kernel_points(state.range(0)), 2.0);
   const auto xs = stride_ids(kKernelBatch, 67, oracle.ground_size());
   std::vector<double> out(xs.size());
@@ -323,9 +314,9 @@ void BM_KernelGainBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelGainBatch)
     ->ArgNames({"dim", "mode"})
-    ->Args({16, 0})->Args({16, 1})->Args({16, 2})
-    ->Args({64, 0})->Args({64, 1})->Args({64, 2})
-    ->Args({128, 0})->Args({128, 1})->Args({128, 2});
+    ->Args({16, 0})->Args({16, 1})
+    ->Args({64, 0})->Args({64, 1})
+    ->Args({128, 0})->Args({128, 1});
 
 // --- probabilistic coverage -------------------------------------------------
 
@@ -767,32 +758,29 @@ void write_gain_json(const std::string& path,
         << "    \"points\": " << kKernelPoints << ",\n"
         << "    \"batch\": " << kKernelBatch << ",\n"
         << "    \"dims\": {";
-    const char* mode_key[] = {"legacy", "lane_scalar", "dispatched"};
+    const char* mode_key[] = {"lane_scalar", "dispatched"};
     bool first_dim = true;
     for (const int dim : {16, 64, 128}) {
-      double ns[3] = {0.0, 0.0, 0.0};
-      for (int mode = 0; mode < 3; ++mode) {
+      double ns[2] = {0.0, 0.0};
+      for (int mode = 0; mode < 2; ++mode) {
         const auto it = raw_ns.find("BM_KernelGainBatch/dim:" +
                                     std::to_string(dim) +
                                     "/mode:" + std::to_string(mode));
         if (it != raw_ns.end()) ns[mode] = it->second / double(kKernelBatch);
       }
-      if (ns[0] <= 0.0 && ns[1] <= 0.0 && ns[2] <= 0.0) continue;
+      if (ns[0] <= 0.0 && ns[1] <= 0.0) continue;
       if (!first_dim) out << ", ";
       first_dim = false;
       out << "\"" << dim << "\": {";
       bool first_mode = true;
-      for (int mode = 0; mode < 3; ++mode) {
+      for (int mode = 0; mode < 2; ++mode) {
         if (ns[mode] <= 0.0) continue;
         if (!first_mode) out << ", ";
         first_mode = false;
         out << "\"" << mode_key[mode] << "\": " << ns[mode];
       }
-      if (ns[0] > 0.0 && ns[2] > 0.0) {
-        out << ", \"dispatched_vs_legacy\": " << ns[0] / ns[2];
-      }
-      if (ns[1] > 0.0 && ns[2] > 0.0) {
-        out << ", \"dispatched_vs_lane_scalar\": " << ns[1] / ns[2];
+      if (ns[0] > 0.0 && ns[1] > 0.0) {
+        out << ", \"dispatched_vs_lane_scalar\": " << ns[0] / ns[1];
       }
       out << "}";
     }

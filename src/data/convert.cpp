@@ -83,19 +83,19 @@ ConvertResult convert_dataset_file(const std::string& input,
                                    const std::string& output) {
   const std::uint32_t magic = peek_magic(input);
 
-  if (magic == kLegacySetMagic ||
+  if (magic == kV1SetMagic ||
       (magic == kFormatMagic && peek_kind(input) == PayloadKind::kSetSystem)) {
     const auto sets = load_set_system(input);
     save_set_system(*sets, output);
     return {"set-system", sets->num_sets(), sets->total_size()};
   }
-  if (magic == kLegacyPointMagic ||
+  if (magic == kV1PointMagic ||
       (magic == kFormatMagic && peek_kind(input) == PayloadKind::kPointSet)) {
     const auto points = load_point_set(input);
     save_point_set(*points, output);
     return {"point-set", points->size(), points->size() * points->dim()};
   }
-  if (magic == kLegacyProbMagic ||
+  if (magic == kV1ProbMagic ||
       (magic == kFormatMagic &&
        peek_kind(input) == PayloadKind::kProbSetSystem)) {
     const auto sets = load_prob_set_system(input);

@@ -37,9 +37,9 @@ inline constexpr std::uint32_t kEndianTag = 0x01020304;
 inline constexpr std::uint64_t kSectionAlign = 64;
 
 // The v1 streamed-format magics (pre-header, parse-and-copy only).
-inline constexpr std::uint32_t kLegacySetMagic = 0x42445353;    // "BDSS"
-inline constexpr std::uint32_t kLegacyPointMagic = 0x42445350;  // "BDSP"
-inline constexpr std::uint32_t kLegacyProbMagic = 0x42445342;   // "BDSB"
+inline constexpr std::uint32_t kV1SetMagic = 0x42445353;    // "BDSS"
+inline constexpr std::uint32_t kV1PointMagic = 0x42445350;  // "BDSP"
+inline constexpr std::uint32_t kV1ProbMagic = 0x42445342;   // "BDSB"
 
 enum class PayloadKind : std::uint32_t {
   kSetSystem = 1,      // A: (count+1) u64 CSR offsets, B: meta_b u32 entries

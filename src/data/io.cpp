@@ -64,8 +64,8 @@ RawFile read_raw(const std::string& path) {
 }
 
 bool is_legacy_magic(std::uint32_t magic) {
-  return magic == kLegacySetMagic || magic == kLegacyPointMagic ||
-         magic == kLegacyProbMagic;
+  return magic == kV1SetMagic || magic == kV1PointMagic ||
+         magic == kV1ProbMagic;
 }
 
 // Validates the fixed header and the per-kind section geometry. Every
@@ -200,7 +200,7 @@ void write_v2(const std::string& path, PayloadKind kind, std::uint64_t count,
 // per-row payloads). Kept so pre-v2 files remain heap-loadable; map_*
 // rejects them, and bds_convert re-encodes them.
 
-constexpr std::uint32_t kLegacyVersion = 1;
+constexpr std::uint32_t kV1Version = 1;
 
 template <typename T>
 T read_pod(std::ifstream& in, const std::string& path) {
@@ -217,7 +217,7 @@ std::ifstream open_legacy(const std::string& path,
   const auto magic = read_pod<std::uint32_t>(in, path);
   const auto version = read_pod<std::uint32_t>(in, path);
   if (magic != expected_magic) fail("wrong file type (bad magic)", path);
-  if (version != kLegacyVersion) fail("unsupported version", path);
+  if (version != kV1Version) fail("unsupported version", path);
   return in;
 }
 
@@ -231,7 +231,7 @@ std::uint32_t peek_magic(const std::string& path) {
 }
 
 std::shared_ptr<const SetSystem> load_set_system_v1(const std::string& path) {
-  auto in = open_legacy(path, kLegacySetMagic);
+  auto in = open_legacy(path, kV1SetMagic);
   const auto num_sets = read_pod<std::uint64_t>(in, path);
   const auto universe = read_pod<std::uint32_t>(in, path);
   std::vector<std::vector<std::uint32_t>> sets(num_sets);
@@ -246,7 +246,7 @@ std::shared_ptr<const SetSystem> load_set_system_v1(const std::string& path) {
 }
 
 std::shared_ptr<const PointSet> load_point_set_v1(const std::string& path) {
-  auto in = open_legacy(path, kLegacyPointMagic);
+  auto in = open_legacy(path, kV1PointMagic);
   const auto n = read_pod<std::uint64_t>(in, path);
   const auto dim = read_pod<std::uint64_t>(in, path);
   std::vector<float> data(n * dim);
@@ -258,7 +258,7 @@ std::shared_ptr<const PointSet> load_point_set_v1(const std::string& path) {
 
 std::shared_ptr<const ProbSetSystem> load_prob_set_system_v1(
     const std::string& path) {
-  auto in = open_legacy(path, kLegacyProbMagic);
+  auto in = open_legacy(path, kV1ProbMagic);
   const auto num_sets = read_pod<std::uint64_t>(in, path);
   const auto universe = read_pod<std::uint32_t>(in, path);
   std::vector<std::vector<ProbSetSystem::Entry>> sets(num_sets);
@@ -287,7 +287,7 @@ void save_set_system(const SetSystem& sets, const std::string& path) {
 }
 
 std::shared_ptr<const SetSystem> load_set_system(const std::string& path) {
-  if (peek_magic(path) == kLegacySetMagic) return load_set_system_v1(path);
+  if (peek_magic(path) == kV1SetMagic) return load_set_system_v1(path);
   return view_set_system(read_raw(path));
 }
 
@@ -306,7 +306,7 @@ void save_point_set(const PointSet& points, const std::string& path) {
 }
 
 std::shared_ptr<const PointSet> load_point_set(const std::string& path) {
-  if (peek_magic(path) == kLegacyPointMagic) return load_point_set_v1(path);
+  if (peek_magic(path) == kV1PointMagic) return load_point_set_v1(path);
   return view_point_set(read_raw(path));
 }
 
@@ -327,7 +327,7 @@ void save_prob_set_system(const ProbSetSystem& sets,
 
 std::shared_ptr<const ProbSetSystem> load_prob_set_system(
     const std::string& path) {
-  if (peek_magic(path) == kLegacyProbMagic) {
+  if (peek_magic(path) == kV1ProbMagic) {
     return load_prob_set_system_v1(path);
   }
   return view_prob_set_system(read_raw(path));

@@ -127,7 +127,7 @@ dist::RoundSpan deserialize_round_span(TokenReader& in) {
     for (dist::AttemptSpan& a : m.attempts) {
       in.expect("A");
       a.attempt = in.size();
-      a.fault = static_cast<dist::FaultKind>(in.u64());
+      a.fault = util::read_enum(in, dist::FaultKind::kStraggler, "fault");
       a.delivered = in.flag();
       a.evals = in.u64();
       a.seconds = in.real();

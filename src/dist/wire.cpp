@@ -159,27 +159,6 @@ IoStatus read_frame(int fd, Frame* frame, std::uint64_t* bytes,
 // ---------------------------------------------------------------------------
 // Payload codecs
 
-namespace {
-
-// Reads an enum token, refusing values past `last`: a corrupt or skewed
-// frame must fail naming its field and peer, not reach a switch as an
-// enumerator that does not exist.
-template <typename Enum>
-Enum read_enum(util::TokenReader& in, Enum last, const char* field,
-               const std::string& context) {
-  const std::uint64_t token = in.u64();
-  const auto max = static_cast<std::uint64_t>(last);
-  if (token > max) {
-    throw std::invalid_argument(context + ": " + field + " " +
-                                std::to_string(token) +
-                                " is out of range (max " +
-                                std::to_string(max) + ")");
-  }
-  return static_cast<Enum>(token);
-}
-
-}  // namespace
-
 std::string encode_hello(const Hello& hello) {
   std::ostringstream out;
   out << "hello " << hello.machine << ' ' << hello.ground_size << '\n';
@@ -246,12 +225,12 @@ AttemptRequest decode_request(std::string_view payload,
   request.round = in.size();
   request.machine = in.size();
   request.attempt = in.size();
-  request.fault = read_enum(in, FaultKind::kStraggler, "fault", context);
+  request.fault = util::read_enum(in, FaultKind::kStraggler, "fault");
   in.expect("plan");
   WorkerPlan& plan = request.plan;
-  plan.kind = read_enum(in, WorkerPlanKind::kCustom, "plan kind", context);
-  plan.selector = read_enum(in, MachineSelector::kStochasticGreedy,
-                            "plan selector", context);
+  plan.kind = util::read_enum(in, WorkerPlanKind::kCustom, "plan kind");
+  plan.selector = util::read_enum(in, MachineSelector::kStochasticGreedy,
+                                  "plan selector");
   plan.stochastic_c = in.real();
   plan.stop_when_no_gain = in.flag();
   plan.budget = in.size();

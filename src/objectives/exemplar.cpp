@@ -5,7 +5,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "objectives/gain_fusion.h"
 #include "util/kernels.h"
 
 namespace bds {
@@ -65,15 +64,9 @@ void PointSet::materialize_owned() {
 
 void PointSet::normalize_rows() {
   materialize_owned();  // the mapping is read-only; scale an owned copy
-  const bool legacy = kern::legacy();
   for (std::size_t i = 0; i < n_; ++i) {
     float* r = data_.data() + i * stride_;
-    double norm2 = 0.0;
-    if (legacy) {
-      for (std::size_t d = 0; d < dim_; ++d) norm2 += double(r[d]) * r[d];
-    } else {
-      norm2 = kern::squared_norm(r, dim_);
-    }
+    const double norm2 = kern::squared_norm(r, dim_);
     if (norm2 <= 0.0) continue;
     const auto inv = static_cast<float>(1.0 / std::sqrt(norm2));
     for (std::size_t d = 0; d < dim_; ++d) r[d] *= inv;
@@ -84,14 +77,6 @@ void PointSet::normalize_rows() {
 double squared_l2(std::span<const float> a,
                   std::span<const float> b) noexcept {
   assert(a.size() == b.size());
-  if (kern::legacy()) {
-    double acc = 0.0;
-    for (std::size_t d = 0; d < a.size(); ++d) {
-      const double diff = double(a[d]) - double(b[d]);
-      acc += diff * diff;
-    }
-    return acc;
-  }
   return kern::squared_l2(a.data(), b.data(), a.size());
 }
 
@@ -111,9 +96,8 @@ struct CostView {
 //
 // Gains accumulate per canonical kern::kCostChunk chunk of cost terms
 // (sequentially inside a chunk), and the chunk partials are summed in
-// ascending chunk order. The batch path, add(), single gain() and the
-// cross-query fusion group all share this grouping, so every path yields
-// bit-identical doubles.
+// ascending chunk order. The batch path, add() and single gain() share
+// this grouping, so every path yields bit-identical doubles.
 
 std::size_t chunk_count(std::size_t count) {
   return (count + kern::kCostChunk - 1) / kern::kCostChunk;
@@ -206,60 +190,6 @@ double kernel_add(const CostView& view, std::vector<double>& min_dist,
   return total;
 }
 
-// --- legacy path (BDS_KERNEL=legacy): the pre-kernel sequential scans -------
-
-double legacy_gain(const CostView& view, ElementId x) {
-  const auto px = view.points->point(x);
-  double gain = 0.0;
-  for (std::size_t t = 0; t < view.count; ++t) {
-    const std::size_t id = view.ids == nullptr ? t : view.ids[t];
-    const double d = squared_l2(view.points->point(id), px);
-    if (d < view.min_dist[t]) gain += view.min_dist[t] - d;
-  }
-  return gain;
-}
-
-double legacy_add(const CostView& view, std::vector<double>& min_dist,
-                  ElementId x) {
-  const auto px = view.points->point(x);
-  double gain = 0.0;
-  for (std::size_t t = 0; t < view.count; ++t) {
-    const std::size_t id = view.ids == nullptr ? t : view.ids[t];
-    const double d = squared_l2(view.points->point(id), px);
-    if (d < min_dist[t]) {
-      gain += min_dist[t] - d;
-      min_dist[t] = d;
-    }
-  }
-  return gain;
-}
-
-// Legacy tiled batch kernel: for a tile of candidates (small enough that
-// their point rows stay cache-resident), stream every cost point once.
-// Per candidate, the accumulation runs over cost terms in ascending order,
-// matching the legacy scalar path's floating-point sum exactly.
-constexpr std::size_t kLegacyTile = 16;
-
-void legacy_gain_batch(const CostView& view, double scale,
-                       std::span<const ElementId> xs, std::span<double> out) {
-  for (std::size_t tile = 0; tile < xs.size(); tile += kLegacyTile) {
-    const std::size_t tile_end = std::min(tile + kLegacyTile, xs.size());
-    double acc[kLegacyTile] = {};
-    for (std::size_t t = 0; t < view.count; ++t) {
-      const std::size_t id = view.ids == nullptr ? t : view.ids[t];
-      const auto pv = view.points->point(id);
-      const double md = view.min_dist[t];
-      for (std::size_t j = tile; j < tile_end; ++j) {
-        const double d = squared_l2(pv, view.points->point(xs[j]));
-        if (d < md) acc[j - tile] += md - d;
-      }
-    }
-    for (std::size_t j = tile; j < tile_end; ++j) {
-      out[j] = acc[j - tile] * scale;
-    }
-  }
-}
-
 }  // namespace
 
 ExemplarOracle::ExemplarOracle(std::shared_ptr<const PointSet> points,
@@ -280,47 +210,23 @@ double ExemplarOracle::clustering_cost() const noexcept {
   return cost;
 }
 
-void ExemplarOracle::attach_fusion(std::shared_ptr<GainFusionGroup> group) {
-  if (group && group->points().get() != points_.get()) {
-    throw std::invalid_argument(
-        "ExemplarOracle::attach_fusion: group built over a different "
-        "PointSet");
-  }
-  fusion_ = std::move(group);
-}
-
 double ExemplarOracle::do_gain(ElementId x) const {
-  if (fusion_ && !kern::legacy()) {
-    double out = 0.0;
-    fusion_->evaluate(std::span<const ElementId>(&x, 1), min_dist_.data(),
-                      1.0, std::span<double>(&out, 1));
-    return out;
-  }
   const CostView view{points_.get(), nullptr, min_dist_.size(),
                       min_dist_.data()};
-  return kern::legacy() ? legacy_gain(view, x) : kernel_gain_one(view, x);
+  return kernel_gain_one(view, x);
 }
 
 void ExemplarOracle::do_gain_batch(std::span<const ElementId> xs,
                                    std::span<double> out) const {
-  if (fusion_ && !kern::legacy()) {
-    fusion_->evaluate(xs, min_dist_.data(), 1.0, out);
-    return;
-  }
   const CostView view{points_.get(), nullptr, min_dist_.size(),
                       min_dist_.data()};
-  if (kern::legacy()) {
-    legacy_gain_batch(view, 1.0, xs, out);
-  } else {
-    kernel_gain_batch(view, 1.0, xs, out);
-  }
+  kernel_gain_batch(view, 1.0, xs, out);
 }
 
 double ExemplarOracle::do_add(ElementId x) {
   const CostView view{points_.get(), nullptr, min_dist_.size(),
                       min_dist_.data()};
-  return kern::legacy() ? legacy_add(view, min_dist_, x)
-                        : kernel_add(view, min_dist_, x);
+  return kernel_add(view, min_dist_, x);
 }
 
 std::unique_ptr<SubmodularOracle> ExemplarOracle::do_clone() const {
@@ -356,28 +262,20 @@ SampledExemplarOracle::SampledExemplarOracle(
 double SampledExemplarOracle::do_gain(ElementId x) const {
   const CostView view{points_.get(), sample_->data(), sample_->size(),
                       min_dist_.data()};
-  const double gain =
-      kern::legacy() ? legacy_gain(view, x) : kernel_gain_one(view, x);
-  return gain * scale_;
+  return kernel_gain_one(view, x) * scale_;
 }
 
 void SampledExemplarOracle::do_gain_batch(std::span<const ElementId> xs,
                                           std::span<double> out) const {
   const CostView view{points_.get(), sample_->data(), sample_->size(),
                       min_dist_.data()};
-  if (kern::legacy()) {
-    legacy_gain_batch(view, scale_, xs, out);
-  } else {
-    kernel_gain_batch(view, scale_, xs, out);
-  }
+  kernel_gain_batch(view, scale_, xs, out);
 }
 
 double SampledExemplarOracle::do_add(ElementId x) {
   const CostView view{points_.get(), sample_->data(), sample_->size(),
                       min_dist_.data()};
-  const double gain = kern::legacy() ? legacy_add(view, min_dist_, x)
-                                     : kernel_add(view, min_dist_, x);
-  return gain * scale_;
+  return kernel_add(view, min_dist_, x) * scale_;
 }
 
 std::unique_ptr<SubmodularOracle> SampledExemplarOracle::do_clone() const {

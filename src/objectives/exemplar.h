@@ -16,9 +16,8 @@
 // Both oracles evaluate through the SIMD kernel layer (util/kernels.h):
 // distances use the norms+dot identity over PointSet's padded rows and
 // cached squared norms, gains accumulate over the cost points in canonical
-// kern::kCostChunk chunks merged in chunk order, so batched, single and
-// fused gains are bit-identical. BDS_KERNEL=legacy restores the
-// pre-kernel sequential scans for A/B comparison.
+// kern::kCostChunk chunks merged in chunk order, so batched and single
+// gains and add()'s realized gain are bit-identical.
 #pragma once
 
 #include <cstdint>
@@ -32,8 +31,6 @@
 #include "util/rng.h"
 
 namespace bds {
-
-class GainFusionGroup;
 
 // Immutable row-major point matrix (float storage; accumulation in double).
 // Rows are stored padded to kern::padded_dim(dim) floats (zero-filled) on a
@@ -109,8 +106,7 @@ class PointSet {
 };
 
 // Squared Euclidean distance between two equal-length vectors, computed
-// with the dispatched lane kernel (BDS_KERNEL=legacy: the pre-kernel
-// sequential sum).
+// with the dispatched lane kernel.
 double squared_l2(std::span<const float> a, std::span<const float> b) noexcept;
 
 // Exact exemplar-clustering oracle over all points of `points`.
@@ -133,20 +129,6 @@ class ExemplarOracle final : public SubmodularOracle {
   // Current clustering cost c(S ∪ {p0}) = Σ_v min_dist[v].
   double clustering_cost() const noexcept;
   double p0_dist() const noexcept { return p0_dist_; }
-  const std::shared_ptr<const PointSet>& points() const noexcept {
-    return points_;
-  }
-
-  // Routes this oracle's gain evaluations through a cross-query fusion
-  // group (objectives/gain_fusion.h) so concurrent evaluations against the
-  // same PointSet share streaming passes. The group must have been built
-  // over this oracle's point set. Clones inherit the attachment, so engine
-  // workers participate too. Fused answers are bit-identical to unfused
-  // ones; legacy mode bypasses the group. Pass nullptr to detach.
-  void attach_fusion(std::shared_ptr<GainFusionGroup> group);
-  const std::shared_ptr<GainFusionGroup>& fusion() const noexcept {
-    return fusion_;
-  }
 
  protected:
   double do_gain(ElementId x) const override;
@@ -164,7 +146,6 @@ class ExemplarOracle final : public SubmodularOracle {
   std::shared_ptr<const PointSet> points_;
   double p0_dist_;
   std::vector<double> min_dist_;  // min over S ∪ {p0}; starts at p0_dist
-  std::shared_ptr<GainFusionGroup> fusion_;  // optional; shared by clones
 };
 
 // Sampled estimate: identical semantics, but cost terms are summed over a

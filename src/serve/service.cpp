@@ -5,9 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "objectives/exemplar.h"
-#include "objectives/gain_fusion.h"
-
 namespace bds::serve {
 namespace {
 
@@ -127,13 +124,6 @@ void SummaryService::register_corpus(
       ground[i] = static_cast<ElementId>(i);
     }
   }
-  // Exemplar corpora share kernel tiles across concurrent cache-miss runs.
-  if (auto* exemplar = dynamic_cast<ExemplarOracle*>(proto.get());
-      exemplar != nullptr && !exemplar->fusion()) {
-    exemplar->attach_fusion(
-        std::make_shared<GainFusionGroup>(exemplar->points()));
-  }
-
   std::lock_guard<std::mutex> lk(mu_);
   CorpusEntry entry;
   entry.objective = std::move(objective);

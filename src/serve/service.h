@@ -2,7 +2,7 @@
 // registry::run_distributed.
 //
 // The workload it targets: many clients ask for summaries of the same few
-// corpora with the same objective/ε/r but different budgets k. Three layers
+// corpora with the same objective/ε/r but different budgets k. Two layers
 // turn that from "one full distributed run per request" into mostly O(k)
 // work per request:
 //
@@ -20,11 +20,6 @@
 //     service reuses the graceful-degradation idea from dist/faults: if a
 //     smaller summary for the same configuration exists, serve its prefix
 //     marked kDegraded rather than failing; otherwise kRejected.
-//
-//  3. **Cross-query oracle fusion** (objectives/gain_fusion.h). Misses that
-//     share one PointSet attach a GainFusionGroup at corpus registration,
-//     so concurrent cache-miss runs batch their gain scans into shared
-//     multi-query kernel tiles — without changing any run's bits.
 //
 // Determinism contract: a kHit / kCoalesced / kComputed answer at the exact
 // cached parameters is bitwise equal to a direct run_distributed call; a
@@ -155,10 +150,8 @@ class SummaryService {
   // Registers a corpus under `name`. `objective` must be a registered
   // objective (core/registry.h, require_objective); its cache_safe flag
   // gates whether this corpus's results may be cached. `proto` is the
-  // fresh (empty-set) oracle prototype every run starts from; an
-  // ExemplarOracle prototype gets a GainFusionGroup attached so concurrent
-  // cache-miss runs share kernel tiles. `ground` defaults to the identity
-  // over proto->ground_size().
+  // fresh (empty-set) oracle prototype every run starts from. `ground`
+  // defaults to the identity over proto->ground_size().
   void add_corpus(std::string name, std::string objective,
                   std::shared_ptr<SubmodularOracle> proto,
                   std::vector<ElementId> ground = {});

@@ -31,13 +31,11 @@ Mode parse_env_mode() {
   const std::string v(raw);
   if (v == "auto") return Mode::kAuto;
   if (v == "scalar") return Mode::kScalar;
-  if (v == "sse2") return Mode::kSse2;
   if (v == "avx2") return Mode::kAvx2;
   if (v == "avx512") return Mode::kAvx512;
-  if (v == "legacy") return Mode::kLegacy;
   std::fprintf(stderr,
                "bds: unknown BDS_KERNEL value '%s' "
-               "(expected auto|scalar|sse2|avx2|avx512|legacy); using auto\n",
+               "(expected auto|scalar|avx2|avx512); using auto\n",
                raw);
   return Mode::kAuto;
 }
@@ -46,12 +44,6 @@ bool host_has(Isa isa) noexcept {
   switch (isa) {
     case Isa::kScalar:
       return true;
-    case Isa::kSse2:
-#if BDS_KERNELS_X86
-      return __builtin_cpu_supports("sse2");
-#else
-      return false;
-#endif
     case Isa::kAvx2:
 #if BDS_KERNELS_X86
       return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
@@ -74,7 +66,6 @@ bool host_has(Isa isa) noexcept {
 Isa best_supported() noexcept {
   if (host_has(Isa::kAvx512)) return Isa::kAvx512;
   if (host_has(Isa::kAvx2)) return Isa::kAvx2;
-  if (host_has(Isa::kSse2)) return Isa::kSse2;
   return Isa::kScalar;
 }
 
@@ -152,197 +143,14 @@ void gain_tile_scalar(const float* rows, std::size_t stride,
   }
 }
 
-void gain_tile_mq_scalar(const float* rows, std::size_t stride,
-                         const double* norms, const std::uint32_t* ids,
-                         const double* const* min_dists, std::size_t begin,
-                         std::size_t end, const float* const* xs,
-                         const double* x_norms, std::size_t n_x, double* out) {
-  for (std::size_t j = 0; j < n_x; ++j) out[j] = 0.0;
-  for (std::size_t t = begin; t < end; ++t) {
-    const std::size_t id = ids == nullptr ? t : ids[t];
-    const float* row = rows + id * stride;
-    const double v_norm = norms[id];
-    for (std::size_t j = 0; j < n_x; ++j) {
-      const double d = distance_from_dot(v_norm, x_norms[j],
-                                         dot_scalar(row, xs[j], stride));
-      const double md = min_dists[j][t];
-      if (d < md) out[j] += md - d;
-    }
-  }
-}
-
 constexpr KernelTable kScalarTable = {
     &squared_l2_scalar,
     &dot_scalar,
     &distance_row_scalar,
     &gain_tile_scalar,
-    &gain_tile_mq_scalar,
 };
 
 #if BDS_KERNELS_X86
-
-// ---------------------------------------------------------------------------
-// SSE2 kernels — lane pairs (0,1) (2,3) (4,5) (6,7) in four __m128d
-// ---------------------------------------------------------------------------
-
-// Reduces four lane-pair accumulators in the canonical reduce_lanes order.
-inline double reduce_sse2(__m128d l01, __m128d l23, __m128d l45,
-                          __m128d l67) noexcept {
-  const __m128d c01 = _mm_add_pd(l01, l45);  // (c0, c1)
-  const __m128d c23 = _mm_add_pd(l23, l67);  // (c2, c3)
-  const __m128d s = _mm_add_pd(c01, c23);    // (c0+c2, c1+c3)
-  return _mm_cvtsd_f64(s) + _mm_cvtsd_f64(_mm_unpackhi_pd(s, s));
-}
-
-// Converts one 8-float block at p into four double lane pairs.
-inline void load_block_sse2(const float* p, __m128d& d01, __m128d& d23,
-                            __m128d& d45, __m128d& d67) noexcept {
-  const __m128 f0 = _mm_loadu_ps(p);
-  const __m128 f1 = _mm_loadu_ps(p + 4);
-  d01 = _mm_cvtps_pd(f0);
-  d23 = _mm_cvtps_pd(_mm_movehl_ps(f0, f0));
-  d45 = _mm_cvtps_pd(f1);
-  d67 = _mm_cvtps_pd(_mm_movehl_ps(f1, f1));
-}
-
-double squared_l2_sse2(const float* a, const float* b, std::size_t n) {
-  __m128d acc01 = _mm_setzero_pd(), acc23 = _mm_setzero_pd();
-  __m128d acc45 = _mm_setzero_pd(), acc67 = _mm_setzero_pd();
-  __m128d a01, a23, a45, a67, b01, b23, b45, b67;
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    load_block_sse2(a + i, a01, a23, a45, a67);
-    load_block_sse2(b + i, b01, b23, b45, b67);
-    const __m128d d01 = _mm_sub_pd(a01, b01);
-    const __m128d d23 = _mm_sub_pd(a23, b23);
-    const __m128d d45 = _mm_sub_pd(a45, b45);
-    const __m128d d67 = _mm_sub_pd(a67, b67);
-    acc01 = _mm_add_pd(acc01, _mm_mul_pd(d01, d01));
-    acc23 = _mm_add_pd(acc23, _mm_mul_pd(d23, d23));
-    acc45 = _mm_add_pd(acc45, _mm_mul_pd(d45, d45));
-    acc67 = _mm_add_pd(acc67, _mm_mul_pd(d67, d67));
-  }
-  if (i < n) {
-    alignas(16) float ta[kLanes] = {}, tb[kLanes] = {};
-    for (std::size_t l = 0; i + l < n; ++l) {
-      ta[l] = a[i + l];
-      tb[l] = b[i + l];
-    }
-    load_block_sse2(ta, a01, a23, a45, a67);
-    load_block_sse2(tb, b01, b23, b45, b67);
-    const __m128d d01 = _mm_sub_pd(a01, b01);
-    const __m128d d23 = _mm_sub_pd(a23, b23);
-    const __m128d d45 = _mm_sub_pd(a45, b45);
-    const __m128d d67 = _mm_sub_pd(a67, b67);
-    acc01 = _mm_add_pd(acc01, _mm_mul_pd(d01, d01));
-    acc23 = _mm_add_pd(acc23, _mm_mul_pd(d23, d23));
-    acc45 = _mm_add_pd(acc45, _mm_mul_pd(d45, d45));
-    acc67 = _mm_add_pd(acc67, _mm_mul_pd(d67, d67));
-  }
-  return reduce_sse2(acc01, acc23, acc45, acc67);
-}
-
-double dot_sse2(const float* a, const float* b, std::size_t n) {
-  __m128d acc01 = _mm_setzero_pd(), acc23 = _mm_setzero_pd();
-  __m128d acc45 = _mm_setzero_pd(), acc67 = _mm_setzero_pd();
-  __m128d a01, a23, a45, a67, b01, b23, b45, b67;
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    load_block_sse2(a + i, a01, a23, a45, a67);
-    load_block_sse2(b + i, b01, b23, b45, b67);
-    acc01 = _mm_add_pd(acc01, _mm_mul_pd(a01, b01));
-    acc23 = _mm_add_pd(acc23, _mm_mul_pd(a23, b23));
-    acc45 = _mm_add_pd(acc45, _mm_mul_pd(a45, b45));
-    acc67 = _mm_add_pd(acc67, _mm_mul_pd(a67, b67));
-  }
-  if (i < n) {
-    alignas(16) float ta[kLanes] = {}, tb[kLanes] = {};
-    for (std::size_t l = 0; i + l < n; ++l) {
-      ta[l] = a[i + l];
-      tb[l] = b[i + l];
-    }
-    load_block_sse2(ta, a01, a23, a45, a67);
-    load_block_sse2(tb, b01, b23, b45, b67);
-    acc01 = _mm_add_pd(acc01, _mm_mul_pd(a01, b01));
-    acc23 = _mm_add_pd(acc23, _mm_mul_pd(a23, b23));
-    acc45 = _mm_add_pd(acc45, _mm_mul_pd(a45, b45));
-    acc67 = _mm_add_pd(acc67, _mm_mul_pd(a67, b67));
-  }
-  return reduce_sse2(acc01, acc23, acc45, acc67);
-}
-
-// Dot of two padded rows (stride % kLanes == 0): the tail never triggers.
-inline double dot_padded_sse2(const float* a, const float* b,
-                              std::size_t stride) noexcept {
-  __m128d acc01 = _mm_setzero_pd(), acc23 = _mm_setzero_pd();
-  __m128d acc45 = _mm_setzero_pd(), acc67 = _mm_setzero_pd();
-  __m128d a01, a23, a45, a67, b01, b23, b45, b67;
-  for (std::size_t d = 0; d < stride; d += kLanes) {
-    load_block_sse2(a + d, a01, a23, a45, a67);
-    load_block_sse2(b + d, b01, b23, b45, b67);
-    acc01 = _mm_add_pd(acc01, _mm_mul_pd(a01, b01));
-    acc23 = _mm_add_pd(acc23, _mm_mul_pd(a23, b23));
-    acc45 = _mm_add_pd(acc45, _mm_mul_pd(a45, b45));
-    acc67 = _mm_add_pd(acc67, _mm_mul_pd(a67, b67));
-  }
-  return reduce_sse2(acc01, acc23, acc45, acc67);
-}
-
-void distance_row_sse2(const float* rows, std::size_t stride,
-                       const double* norms, const std::uint32_t* ids,
-                       std::size_t begin, std::size_t end, const float* x,
-                       double x_norm, double* out) {
-  for (std::size_t t = begin; t < end; ++t) {
-    const std::size_t id = ids == nullptr ? t : ids[t];
-    out[t - begin] = distance_from_dot(
-        norms[id], x_norm, dot_padded_sse2(rows + id * stride, x, stride));
-  }
-}
-
-void gain_tile_sse2(const float* rows, std::size_t stride, const double* norms,
-                    const std::uint32_t* ids, const double* min_dist,
-                    std::size_t begin, std::size_t end, const float* const* xs,
-                    const double* x_norms, std::size_t n_x, double* out) {
-  for (std::size_t j = 0; j < n_x; ++j) out[j] = 0.0;
-  for (std::size_t t = begin; t < end; ++t) {
-    const std::size_t id = ids == nullptr ? t : ids[t];
-    const float* row = rows + id * stride;
-    const double v_norm = norms[id];
-    const double md = min_dist[t];
-    for (std::size_t j = 0; j < n_x; ++j) {
-      const double d = distance_from_dot(v_norm, x_norms[j],
-                                         dot_padded_sse2(row, xs[j], stride));
-      if (d < md) out[j] += md - d;
-    }
-  }
-}
-
-void gain_tile_mq_sse2(const float* rows, std::size_t stride,
-                       const double* norms, const std::uint32_t* ids,
-                       const double* const* min_dists, std::size_t begin,
-                       std::size_t end, const float* const* xs,
-                       const double* x_norms, std::size_t n_x, double* out) {
-  for (std::size_t j = 0; j < n_x; ++j) out[j] = 0.0;
-  for (std::size_t t = begin; t < end; ++t) {
-    const std::size_t id = ids == nullptr ? t : ids[t];
-    const float* row = rows + id * stride;
-    const double v_norm = norms[id];
-    for (std::size_t j = 0; j < n_x; ++j) {
-      const double d = distance_from_dot(v_norm, x_norms[j],
-                                         dot_padded_sse2(row, xs[j], stride));
-      const double md = min_dists[j][t];
-      if (d < md) out[j] += md - d;
-    }
-  }
-}
-
-constexpr KernelTable kSse2Table = {
-    &squared_l2_sse2,
-    &dot_sse2,
-    &distance_row_sse2,
-    &gain_tile_sse2,
-    &gain_tile_mq_sse2,
-};
 
 // ---------------------------------------------------------------------------
 // AVX2+FMA kernels — lanes 0-3 / 4-7 in two __m256d accumulators
@@ -535,88 +343,11 @@ __attribute__((target("avx2,fma"))) void gain_tile_avx2(
   for (std::size_t j = 0; j < n_x; ++j) out[j] = sums[j];
 }
 
-// Multi-query tile: identical blocked small-GEMM, but candidate j compares
-// against its own min-dist array. The per-candidate accumulators and
-// reductions are untouched, so each lane's arithmetic is bit-identical to
-// gain_tile_avx2 with min_dist = min_dists[j].
-__attribute__((target("avx2,fma"))) void gain_tile_mq_avx2(
-    const float* rows, std::size_t stride, const double* norms,
-    const std::uint32_t* ids, const double* const* min_dists,
-    std::size_t begin, std::size_t end, const float* const* xs,
-    const double* x_norms, std::size_t n_x, double* out) {
-  for (std::size_t j = 0; j < n_x; ++j) out[j] = 0.0;
-  if (n_x == 0) return;
-
-  if (n_x == 1) {
-    const float* x = xs[0];
-    const double x_norm = x_norms[0];
-    const double* md0 = min_dists[0];
-    double sum = 0.0;
-    for (std::size_t t = begin; t < end; ++t) {
-      const std::size_t id = ids == nullptr ? t : ids[t];
-      const double d = distance_from_dot(
-          norms[id], x_norm, dot_padded_avx2(rows + id * stride, x, stride));
-      const double md = md0[t];
-      if (d < md) sum += md - d;
-    }
-    out[0] = sum;
-    return;
-  }
-
-  thread_local util::AlignedVector<double> scratch;
-  scratch.resize(kGainTile * stride);
-  for (std::size_t s = 0; s < kGainTile; ++s) {
-    const float* src = xs[s < n_x ? s : n_x - 1];
-    double* dst = scratch.data() + s * stride;
-    for (std::size_t d = 0; d < stride; d += 4) {
-      _mm256_store_pd(dst + d, _mm256_cvtps_pd(_mm_loadu_ps(src + d)));
-    }
-  }
-  const double* x0 = scratch.data();
-  const double* x1 = scratch.data() + stride;
-  const double* x2 = scratch.data() + 2 * stride;
-  const double* x3 = scratch.data() + 3 * stride;
-
-  double sums[kGainTile] = {};
-  for (std::size_t t = begin; t < end; ++t) {
-    const std::size_t id = ids == nullptr ? t : ids[t];
-    const float* row = rows + id * stride;
-    __m256d a0l = _mm256_setzero_pd(), a0h = _mm256_setzero_pd();
-    __m256d a1l = _mm256_setzero_pd(), a1h = _mm256_setzero_pd();
-    __m256d a2l = _mm256_setzero_pd(), a2h = _mm256_setzero_pd();
-    __m256d a3l = _mm256_setzero_pd(), a3h = _mm256_setzero_pd();
-    for (std::size_t d = 0; d < stride; d += kLanes) {
-      const __m256 v = _mm256_loadu_ps(row + d);
-      const __m256d lo = _mm256_cvtps_pd(_mm256_castps256_ps128(v));
-      const __m256d hi = _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1));
-      a0l = _mm256_fmadd_pd(lo, _mm256_load_pd(x0 + d), a0l);
-      a0h = _mm256_fmadd_pd(hi, _mm256_load_pd(x0 + d + 4), a0h);
-      a1l = _mm256_fmadd_pd(lo, _mm256_load_pd(x1 + d), a1l);
-      a1h = _mm256_fmadd_pd(hi, _mm256_load_pd(x1 + d + 4), a1h);
-      a2l = _mm256_fmadd_pd(lo, _mm256_load_pd(x2 + d), a2l);
-      a2h = _mm256_fmadd_pd(hi, _mm256_load_pd(x2 + d + 4), a2h);
-      a3l = _mm256_fmadd_pd(lo, _mm256_load_pd(x3 + d), a3l);
-      a3h = _mm256_fmadd_pd(hi, _mm256_load_pd(x3 + d + 4), a3h);
-    }
-    const double v_norm = norms[id];
-    const double dots[kGainTile] = {
-        reduce_avx2(a0l, a0h), reduce_avx2(a1l, a1h), reduce_avx2(a2l, a2h),
-        reduce_avx2(a3l, a3h)};
-    for (std::size_t j = 0; j < n_x; ++j) {
-      const double d = distance_from_dot(v_norm, x_norms[j], dots[j]);
-      const double md = min_dists[j][t];
-      if (d < md) sums[j] += md - d;
-    }
-  }
-  for (std::size_t j = 0; j < n_x; ++j) out[j] = sums[j];
-}
-
 constexpr KernelTable kAvx2Table = {
     &squared_l2_avx2,
     &dot_avx2,
     &distance_row_avx2,
     &gain_tile_avx2,
-    &gain_tile_mq_avx2,
 };
 
 // ---------------------------------------------------------------------------
@@ -628,17 +359,22 @@ constexpr KernelTable kAvx2Table = {
 // the zmm into its two ymm halves (lanes 0-3 and 4-7) and feeds them to the
 // AVX2 reduction, which already implements reduce_lanes() exactly — so the
 // 512-bit tier is bit-identical to every other tier by construction.
+//
+// The zero-masking forms with an all-ones mask compute the same values as
+// _mm512_castpd512_pd256, _mm512_extractf64x4_pd and _mm512_cvtps_pd.
+// GCC 12's headers build those three from _mm*_undefined_pd(), which
+// -Wmaybe-uninitialized reports in every caller.
 
 __attribute__((target("avx512f,avx2,fma"))) inline double reduce_avx512(
     __m512d acc) noexcept {
-  return reduce_avx2(_mm512_castpd512_pd256(acc),
-                     _mm512_extractf64x4_pd(acc, 1));
+  return reduce_avx2(_mm512_maskz_extractf64x4_pd(0xFF, acc, 0),
+                     _mm512_maskz_extractf64x4_pd(0xFF, acc, 1));
 }
 
 // Loads one 8-float block and widens it to the full double lane array.
 __attribute__((target("avx512f,avx2,fma"))) inline __m512d widen_avx512(
     const float* p) noexcept {
-  return _mm512_cvtps_pd(_mm256_loadu_ps(p));
+  return _mm512_maskz_cvtps_pd(0xFF, _mm256_loadu_ps(p));
 }
 
 __attribute__((target("avx512f,avx2,fma"))) double squared_l2_avx512(
@@ -702,27 +438,25 @@ __attribute__((target("avx512f,avx2,fma"))) void distance_row_avx512(
   }
 }
 
-// The multi-query tile is the core 512-bit GEMM kernel; the single-min-dist
-// gain_tile is a thin wrapper that points every candidate at the same
-// min-dist array (identical arithmetic, so identical bits).
-__attribute__((target("avx512f,avx2,fma"))) void gain_tile_mq_avx512(
+// The blocked small-GEMM tile of gain_tile_avx2, one zmm accumulator per
+// candidate.
+__attribute__((target("avx512f,avx2,fma"))) void gain_tile_avx512(
     const float* rows, std::size_t stride, const double* norms,
-    const std::uint32_t* ids, const double* const* min_dists,
-    std::size_t begin, std::size_t end, const float* const* xs,
-    const double* x_norms, std::size_t n_x, double* out) {
+    const std::uint32_t* ids, const double* min_dist, std::size_t begin,
+    std::size_t end, const float* const* xs, const double* x_norms,
+    std::size_t n_x, double* out) {
   for (std::size_t j = 0; j < n_x; ++j) out[j] = 0.0;
   if (n_x == 0) return;
 
   if (n_x == 1) {
     const float* x = xs[0];
     const double x_norm = x_norms[0];
-    const double* md0 = min_dists[0];
     double sum = 0.0;
     for (std::size_t t = begin; t < end; ++t) {
       const std::size_t id = ids == nullptr ? t : ids[t];
       const double d = distance_from_dot(
           norms[id], x_norm, dot_padded_avx512(rows + id * stride, x, stride));
-      const double md = md0[t];
+      const double md = min_dist[t];
       if (d < md) sum += md - d;
     }
     out[0] = sum;
@@ -757,25 +491,15 @@ __attribute__((target("avx512f,avx2,fma"))) void gain_tile_mq_avx512(
       a3 = _mm512_fmadd_pd(v, _mm512_loadu_pd(x3 + d), a3);
     }
     const double v_norm = norms[id];
+    const double md = min_dist[t];
     const double dots[kGainTile] = {reduce_avx512(a0), reduce_avx512(a1),
                                     reduce_avx512(a2), reduce_avx512(a3)};
     for (std::size_t j = 0; j < n_x; ++j) {
       const double d = distance_from_dot(v_norm, x_norms[j], dots[j]);
-      const double md = min_dists[j][t];
       if (d < md) sums[j] += md - d;
     }
   }
   for (std::size_t j = 0; j < n_x; ++j) out[j] = sums[j];
-}
-
-__attribute__((target("avx512f,avx2,fma"))) void gain_tile_avx512(
-    const float* rows, std::size_t stride, const double* norms,
-    const std::uint32_t* ids, const double* min_dist, std::size_t begin,
-    std::size_t end, const float* const* xs, const double* x_norms,
-    std::size_t n_x, double* out) {
-  const double* mds[kGainTile] = {min_dist, min_dist, min_dist, min_dist};
-  gain_tile_mq_avx512(rows, stride, norms, ids, mds, begin, end, xs, x_norms,
-                      n_x, out);
 }
 
 constexpr KernelTable kAvx512Table = {
@@ -783,7 +507,6 @@ constexpr KernelTable kAvx512Table = {
     &dot_avx512,
     &distance_row_avx512,
     &gain_tile_avx512,
-    &gain_tile_mq_avx512,
 };
 
 #endif  // BDS_KERNELS_X86
@@ -802,10 +525,7 @@ Isa active_isa() noexcept {
     case Mode::kAuto:
       return best_supported();
     case Mode::kScalar:
-    case Mode::kLegacy:
       return Isa::kScalar;
-    case Mode::kSse2:
-      return host_has(Isa::kSse2) ? Isa::kSse2 : Isa::kScalar;
     case Mode::kAvx2:
       return host_has(Isa::kAvx2) ? Isa::kAvx2 : best_supported();
     case Mode::kAvx512:
@@ -814,16 +534,12 @@ Isa active_isa() noexcept {
   return Isa::kScalar;
 }
 
-bool legacy() noexcept { return requested_mode() == Mode::kLegacy; }
-
 bool isa_supported(Isa isa) noexcept { return host_has(isa); }
 
 const char* isa_name(Isa isa) noexcept {
   switch (isa) {
     case Isa::kScalar:
       return "scalar";
-    case Isa::kSse2:
-      return "sse2";
     case Isa::kAvx2:
       return "avx2";
     case Isa::kAvx512:
@@ -832,9 +548,7 @@ const char* isa_name(Isa isa) noexcept {
   return "scalar";
 }
 
-const char* active_name() noexcept {
-  return legacy() ? "legacy" : isa_name(active_isa());
-}
+const char* active_name() noexcept { return isa_name(active_isa()); }
 
 ForcedMode::ForcedMode(Mode mode) noexcept
     : saved_(g_forced_mode.exchange(static_cast<int>(mode),
@@ -849,8 +563,6 @@ const KernelTable& table_for(Isa isa) noexcept {
   switch (isa) {
     case Isa::kScalar:
       return kScalarTable;
-    case Isa::kSse2:
-      return kSse2Table;
     case Isa::kAvx2:
       return kAvx2Table;
     case Isa::kAvx512:

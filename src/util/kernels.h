@@ -1,8 +1,8 @@
 // Runtime-dispatched SIMD micro-kernels for the distance/coverage hot paths
 // (today: the exemplar-clustering oracles; any float-vector objective can
 // build on them). The instruction set is detected once (cpuid) and every
-// kernel is provided in AVX-512F, AVX2+FMA, SSE2 and scalar form behind one
-// function table.
+// kernel is provided in AVX-512F, AVX2+FMA and scalar form behind one
+// function table per tier.
 //
 // ## The lane-reduction determinism contract
 //
@@ -26,17 +26,16 @@
 // host's ISA. The AVX-512 tier keeps the same virtual 8-lane layout — one
 // zmm accumulator holds all eight lanes and is reduced by splitting into
 // the two ymm halves the AVX2 reduction already combines, so the reduction
-// order is literally reduce_lanes(). The pre-kernel sequential summation
-// survives as BDS_KERNEL=legacy for A/B comparison; it is numerically
-// equivalent (≤ ~1e-9 relative) but not bit-identical.
+// order is literally reduce_lanes(). The scalar table is the contract's
+// reference; x86 hosts without AVX2 run it.
 //
 // ## Mode selection
 //
-// The BDS_KERNEL environment variable picks the path, read once per
-// process: auto (default — best supported ISA), avx512, avx2, sse2,
-// scalar, or legacy. Requests the hardware cannot honor degrade to the
-// best supported tier. Tests and benchmarks override the mode in-process
-// with ForcedMode.
+// The BDS_KERNEL environment variable picks the tier, read once per
+// process: auto (default — best supported ISA), avx512, avx2 or scalar.
+// Requests the hardware cannot honor degrade to the best supported tier;
+// an unknown value is reported on stderr and means auto. Tests and
+// benchmarks override the mode in-process with ForcedMode.
 #pragma once
 
 #include <cstddef>
@@ -44,32 +43,22 @@
 
 namespace bds::kern {
 
-enum class Isa { kScalar = 0, kSse2 = 1, kAvx2 = 2, kAvx512 = 3 };
+// The values are fixed (1 is unused): gtest prints a parameter's raw bytes
+// into the KernelIsaEquivalence test names.
+enum class Isa { kScalar = 0, kAvx2 = 2, kAvx512 = 3 };
 
-enum class Mode {
-  kAuto = 0,
-  kScalar = 1,
-  kSse2 = 2,
-  kAvx2 = 3,
-  kAvx512 = 4,
-  kLegacy = 5,
-};
+enum class Mode { kAuto, kScalar, kAvx2, kAvx512 };
 
 // The mode requested via BDS_KERNEL (or a ForcedMode override).
 Mode requested_mode() noexcept;
 
 // The ISA tier the dispatched kernels actually run: the requested mode
-// clamped to what the host supports. kLegacy resolves to kScalar here; the
-// legacy *formulas* are selected by callers via legacy().
+// clamped to what the host supports.
 Isa active_isa() noexcept;
-
-// True when BDS_KERNEL=legacy: callers (objectives/exemplar.cpp) keep the
-// pre-kernel sequential code paths alive behind this switch.
-bool legacy() noexcept;
 
 bool isa_supported(Isa isa) noexcept;
 const char* isa_name(Isa isa) noexcept;
-// "legacy" in legacy mode, otherwise isa_name(active_isa()).
+// isa_name(active_isa()).
 const char* active_name() noexcept;
 
 // RAII in-process mode override for tests and benchmarks (nests; restores
@@ -152,19 +141,6 @@ struct KernelTable {
                     const double* min_dist, std::size_t begin, std::size_t end,
                     const float* const* xs, const double* x_norms,
                     std::size_t n_x, double* out);
-  // Multi-query variant of gain_tile: candidate j carries its own min-dist
-  // array min_dists[j] (indexed by cost term t, exactly like gain_tile's
-  // min_dist), so candidates from *different concurrent queries* over one
-  // PointSet can share a single streaming pass over the rows:
-  //   out[j] = Σ_{t ∈ [begin,end)} max(0, min_dists[j][t] − d(t, xs[j]))
-  // Per-candidate arithmetic is bit-identical to gain_tile called with
-  // min_dist = min_dists[j] (and hence to a solo tile of one candidate) —
-  // the property that licenses fusing unrelated queries into one tile.
-  void (*gain_tile_mq)(const float* rows, std::size_t stride,
-                       const double* norms, const std::uint32_t* ids,
-                       const double* const* min_dists, std::size_t begin,
-                       std::size_t end, const float* const* xs,
-                       const double* x_norms, std::size_t n_x, double* out);
 };
 
 // The kernel set for one ISA tier (for the equivalence tests; only call

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -73,11 +74,29 @@ class TokenReader {
   // (the wire protocol) reject trailing garbage.
   bool at_end();
 
+  const std::string& context() const noexcept { return context_; }
+
  private:
   [[noreturn]] void fail(const std::string& what) const;
 
   std::istringstream in_;
   std::string context_;
 };
+
+// Reads an enum token, refusing values past `last`: a corrupt or skewed
+// input must fail naming its field ("<context>: fault 9 is out of range
+// (max 4)"), not reach a switch as an enumerator that does not exist.
+template <typename Enum>
+Enum read_enum(TokenReader& in, Enum last, const char* field) {
+  const std::uint64_t token = in.u64();
+  const auto max = static_cast<std::uint64_t>(last);
+  if (token > max) {
+    throw std::invalid_argument(in.context() + ": " + field + " " +
+                                std::to_string(token) +
+                                " is out of range (max " +
+                                std::to_string(max) + ")");
+  }
+  return static_cast<Enum>(token);
+}
 
 }  // namespace bds::util

@@ -519,6 +519,35 @@ TEST(EngineCheckpoint, FileRoundTripAndMalformedInput) {
   EXPECT_THROW(Checkpoint::deserialize(truncated), std::invalid_argument);
 }
 
+// A fault token past the last FaultKind must fail naming the field, not be
+// cast to an enumerator that does not exist.
+TEST(EngineCheckpoint, RejectsOutOfRangeAttemptFault) {
+  Checkpoint c;
+  c.program_id = "naive-distributed";
+  c.rng_state = {1, 2, 3, 4};
+  c.stats.rounds.resize(1);
+  c.stats.trace.rounds.resize(1);
+  c.stats.trace.rounds[0].machines.resize(1);
+  auto& attempts = c.stats.trace.rounds[0].machines[0].attempts;
+  attempts.resize(1);
+  attempts[0].fault = dist::FaultKind::kCrash;
+  c.rounds.resize(1);
+
+  std::string text = c.serialize();
+  ASSERT_NO_THROW(Checkpoint::deserialize(text));
+  const std::size_t at = text.find("\nA 1 1 ");  // attempt 1, kCrash
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, 7, "\nA 1 9 ");
+  try {
+    Checkpoint::deserialize(text);
+    FAIL() << "an out-of-range fault token was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("fault"), std::string::npos) << what;
+    EXPECT_NE(what.find("(max 4)"), std::string::npos) << what;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // 3. Eval accounting (the one_round_merge delta fix + merge_evals metering)
 

@@ -12,10 +12,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/greedy.h"
@@ -31,10 +32,28 @@
 namespace bds {
 namespace {
 
-struct OracleCase {
-  std::string name;
-  std::function<std::unique_ptr<SubmodularOracle>()> make;
+// gtest prints a parameter type it has no printer for as its size and raw
+// bytes, and that text is part of each ctest name. So OracleCase holds no
+// pointer and no padding (the oracle is picked by OracleKind), and every
+// build registers the same test names.
+enum class OracleKind : std::uint64_t {
+  kCoverage,
+  kWeightedCoverage,
+  kProbCoverage,
+  kWeightedProbCoverage,
+  kSaturatedCoverage,
+  kExemplar,
+  kSampledExemplar,
+  kSqrtModular,
 };
+
+struct OracleCase {
+  char name[56];
+  OracleKind kind;
+
+  std::unique_ptr<SubmodularOracle> make() const;
+};
+static_assert(std::has_unique_object_representations_v<OracleCase>);
 
 std::unique_ptr<SubmodularOracle> make_coverage() {
   return std::make_unique<CoverageOracle>(
@@ -127,16 +146,38 @@ std::unique_ptr<SubmodularOracle> make_sqrt_modular() {
   return std::make_unique<bds::testing::SqrtModularOracle>(std::move(weights));
 }
 
+std::unique_ptr<SubmodularOracle> OracleCase::make() const {
+  switch (kind) {
+    case OracleKind::kCoverage:
+      return make_coverage();
+    case OracleKind::kWeightedCoverage:
+      return make_weighted_coverage();
+    case OracleKind::kProbCoverage:
+      return make_prob_coverage();
+    case OracleKind::kWeightedProbCoverage:
+      return make_weighted_prob_coverage();
+    case OracleKind::kSaturatedCoverage:
+      return make_saturated();
+    case OracleKind::kExemplar:
+      return make_exemplar();
+    case OracleKind::kSampledExemplar:
+      return make_sampled_exemplar();
+    case OracleKind::kSqrtModular:
+      return make_sqrt_modular();
+  }
+  throw std::invalid_argument("unknown oracle kind");
+}
+
 std::vector<OracleCase> all_cases() {
   return {
-      {"Coverage", make_coverage},
-      {"WeightedCoverage", make_weighted_coverage},
-      {"ProbCoverage", make_prob_coverage},
-      {"WeightedProbCoverage", make_weighted_prob_coverage},
-      {"SaturatedCoverage", make_saturated},
-      {"Exemplar", make_exemplar},
-      {"SampledExemplar", make_sampled_exemplar},
-      {"SqrtModularDefaultKernel", make_sqrt_modular},
+      {"Coverage", OracleKind::kCoverage},
+      {"WeightedCoverage", OracleKind::kWeightedCoverage},
+      {"ProbCoverage", OracleKind::kProbCoverage},
+      {"WeightedProbCoverage", OracleKind::kWeightedProbCoverage},
+      {"SaturatedCoverage", OracleKind::kSaturatedCoverage},
+      {"Exemplar", OracleKind::kExemplar},
+      {"SampledExemplar", OracleKind::kSampledExemplar},
+      {"SqrtModularDefaultKernel", OracleKind::kSqrtModular},
   };
 }
 
@@ -199,7 +240,9 @@ TEST_P(GainBatchTest, BatchCountsOneEvalPerElement) {
 
 INSTANTIATE_TEST_SUITE_P(AllOracles, GainBatchTest,
                          ::testing::ValuesIn(all_cases()),
-                         [](const auto& info) { return info.param.name; });
+                         [](const auto& info) {
+                           return std::string(info.param.name);
+                         });
 
 // ---------------------------------------------------------------------------
 // Determinism regression: the batched rewiring of the selector family must
@@ -270,7 +313,9 @@ TEST_P(SelectorRegressionTest, LazyGreedyPicksUnchangedByBatching) {
 
 INSTANTIATE_TEST_SUITE_P(AllOracles, SelectorRegressionTest,
                          ::testing::ValuesIn(all_cases()),
-                         [](const auto& info) { return info.param.name; });
+                         [](const auto& info) {
+                           return std::string(info.param.name);
+                         });
 
 }  // namespace
 }  // namespace bds

@@ -375,7 +375,7 @@ void write_v1_set_system(const std::string& path) {
   const auto put64 = [&](std::uint64_t v) {
     out.write(reinterpret_cast<const char*>(&v), sizeof(v));
   };
-  put32(kLegacySetMagic);
+  put32(kV1SetMagic);
   put32(1);     // version
   put64(3);     // num_sets
   put32(5);     // universe

@@ -3,18 +3,21 @@
 //    (zero vectors, dim 1, dims that are not a multiple of the SIMD
 //    width, NaN-freeness);
 //  * the equivalence suite: every supported ISA tier must produce doubles
-//    bit-identical to the scalar lane reference, and the legacy sequential
-//    path must agree within 1e-9 relative;
+//    bit-identical to the scalar lane reference;
 //  * oracle-level determinism: gain == gain_batch == add's realized gain,
-//    bitwise;
+//    bitwise, and every gain within 1e-9 relative of the objective's
+//    definition computed by a plain double loop;
 //  * the golden selection regression: bicriteria on an exemplar workload
 //    picks identical elements under BDS_KERNEL=auto and =scalar, on 1 and
 //    8 host threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
+#include <span>
 #include <vector>
 
 #include "core/bicriteria.h"
@@ -119,7 +122,6 @@ TEST(Kernels, DotMatchesReferenceAndNormIsSelfDot) {
 
 TEST(Kernels, IsaNamesAndSupport) {
   EXPECT_STREQ(kern::isa_name(kern::Isa::kScalar), "scalar");
-  EXPECT_STREQ(kern::isa_name(kern::Isa::kSse2), "sse2");
   EXPECT_STREQ(kern::isa_name(kern::Isa::kAvx2), "avx2");
   EXPECT_STREQ(kern::isa_name(kern::Isa::kAvx512), "avx512");
   EXPECT_TRUE(kern::isa_supported(kern::Isa::kScalar));
@@ -135,7 +137,6 @@ TEST(Kernels, ForcedAvx512DegradesToBestSupported) {
     best = kern::active_isa();
   }
   kern::ForcedMode forced(kern::Mode::kAvx512);
-  EXPECT_FALSE(kern::legacy());
   if (kern::isa_supported(kern::Isa::kAvx512)) {
     EXPECT_EQ(kern::active_isa(), kern::Isa::kAvx512);
     EXPECT_STREQ(kern::active_name(), "avx512");
@@ -149,13 +150,12 @@ TEST(Kernels, ForcedModeOverridesAndRestores) {
   {
     kern::ForcedMode scalar(kern::Mode::kScalar);
     EXPECT_EQ(kern::active_isa(), kern::Isa::kScalar);
-    EXPECT_FALSE(kern::legacy());
+    EXPECT_STREQ(kern::active_name(), "scalar");
     {
-      kern::ForcedMode legacy(kern::Mode::kLegacy);
-      EXPECT_TRUE(kern::legacy());
-      EXPECT_STREQ(kern::active_name(), "legacy");
+      kern::ForcedMode avx2(kern::Mode::kAvx2);
+      EXPECT_EQ(kern::requested_mode(), kern::Mode::kAvx2);
     }
-    EXPECT_FALSE(kern::legacy());
+    EXPECT_EQ(kern::requested_mode(), kern::Mode::kScalar);
     EXPECT_EQ(kern::active_isa(), kern::Isa::kScalar);
   }
   EXPECT_EQ(kern::active_isa(), ambient);
@@ -266,74 +266,8 @@ TEST_P(KernelIsaEquivalence, GainTileIsCompositionIndependent) {
   }
 }
 
-// The multi-query tile against its two defining identities: candidate j of
-// a fused tile equals a solo gain_tile run with that candidate's own
-// min-dist array (so fusing unrelated queries never perturbs any of them),
-// and a tile where every candidate shares one min-dist array degenerates to
-// gain_tile exactly.
-TEST_P(KernelIsaEquivalence, MultiQueryTileMatchesSoloGainTileBitwise) {
-  const kern::Isa isa = GetParam();
-  if (!kern::isa_supported(isa)) GTEST_SKIP() << "ISA not supported here";
-  const kern::KernelTable& kt = kern::table_for(isa);
-  const kern::KernelTable& ref = kern::table_for(kern::Isa::kScalar);
-  util::Rng rng(24);
-  const std::size_t n = 96, dim = 19;
-  auto points = std::make_shared<const PointSet>(
-      n, dim, random_floats(n * dim, rng, -1.5, 1.5));
-
-  // One min-dist array per candidate, as if each came from a different
-  // query at a different coverage state.
-  std::vector<std::vector<double>> mds(kern::kGainTile,
-                                       std::vector<double>(n));
-  for (auto& v : mds) {
-    for (auto& d : v) d = rng.next_double(0.0, 3.0);
-  }
-
-  for (std::size_t n_x = 1; n_x <= kern::kGainTile; ++n_x) {
-    const float* xs[kern::kGainTile];
-    double xnorms[kern::kGainTile];
-    const double* md_ptrs[kern::kGainTile];
-    for (std::size_t j = 0; j < n_x; ++j) {
-      xs[j] = points->row(11 * j + 3);
-      xnorms[j] = points->norm2(11 * j + 3);
-      md_ptrs[j] = mds[j].data();
-    }
-    double fused[kern::kGainTile], fused_ref[kern::kGainTile];
-    kt.gain_tile_mq(points->rows(), points->stride(), points->norms(), nullptr,
-                    md_ptrs, 0, n, xs, xnorms, n_x, fused);
-    ref.gain_tile_mq(points->rows(), points->stride(), points->norms(),
-                     nullptr, md_ptrs, 0, n, xs, xnorms, n_x, fused_ref);
-    for (std::size_t j = 0; j < n_x; ++j) {
-      expect_bits_eq(fused[j], fused_ref[j]);
-      double solo = 0.0;
-      kt.gain_tile(points->rows(), points->stride(), points->norms(), nullptr,
-                   mds[j].data(), 0, n, &xs[j], &xnorms[j], 1, &solo);
-      expect_bits_eq(fused[j], solo);
-    }
-  }
-
-  // Identical min-dist arrays: mq degenerates to gain_tile bitwise.
-  const float* xs[kern::kGainTile];
-  double xnorms[kern::kGainTile];
-  const double* same_md[kern::kGainTile];
-  for (std::size_t j = 0; j < kern::kGainTile; ++j) {
-    xs[j] = points->row(5 * j + 2);
-    xnorms[j] = points->norm2(5 * j + 2);
-    same_md[j] = mds[0].data();
-  }
-  double fused[kern::kGainTile], plain[kern::kGainTile];
-  kt.gain_tile_mq(points->rows(), points->stride(), points->norms(), nullptr,
-                  same_md, 0, n, xs, xnorms, kern::kGainTile, fused);
-  kt.gain_tile(points->rows(), points->stride(), points->norms(), nullptr,
-               mds[0].data(), 0, n, xs, xnorms, kern::kGainTile, plain);
-  for (std::size_t j = 0; j < kern::kGainTile; ++j) {
-    expect_bits_eq(fused[j], plain[j]);
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(AllIsas, KernelIsaEquivalence,
                          ::testing::Values(kern::Isa::kScalar,
-                                           kern::Isa::kSse2,
                                            kern::Isa::kAvx2,
                                            kern::Isa::kAvx512),
                          [](const auto& info) {
@@ -436,8 +370,8 @@ TEST(KernelOracle, DispatchedModesMatchScalarBitwise) {
     return oracle.gain_batch(xs);
   };
   const auto scalar = run(kern::Mode::kScalar);
-  for (const kern::Mode mode : {kern::Mode::kAuto, kern::Mode::kSse2,
-                                kern::Mode::kAvx2, kern::Mode::kAvx512}) {
+  for (const kern::Mode mode :
+       {kern::Mode::kAuto, kern::Mode::kAvx2, kern::Mode::kAvx512}) {
     const auto got = run(mode);
     for (std::size_t i = 0; i < xs.size(); ++i) {
       expect_bits_eq(got[i], scalar[i]);
@@ -445,22 +379,53 @@ TEST(KernelOracle, DispatchedModesMatchScalarBitwise) {
   }
 }
 
-TEST(KernelOracle, LegacyAgreesWithinRelativeTolerance) {
+// The kernels against the objective's definition rather than against each
+// other: gain(x) = scale · Σ_t max(0, md_t − Σ_d (v_{t,d} − x_d)²) over the
+// oracle's cost terms t, with md_t = min(p0, distance to the committed
+// exemplar), summed by a plain sequential double loop.
+TEST(KernelOracle, GainsMatchTheDefinition) {
   auto points = small_workload();
   std::vector<ElementId> xs;
   for (ElementId x = 0; x < 32; ++x) xs.push_back(x * 9 % 300);
-  const auto run = [&](kern::Mode mode) {
-    kern::ForcedMode forced(mode);
-    ExemplarOracle oracle(points, 2.0);
-    oracle.add(11);
-    return oracle.gain_batch(xs);
+  const ElementId committed = 11;
+  const double p0 = 2.0;
+
+  const auto dist = [&](std::size_t v, std::size_t x) {
+    double d = 0.0;
+    for (std::size_t i = 0; i < points->dim(); ++i) {
+      const double diff =
+          double(points->point(v)[i]) - double(points->point(x)[i]);
+      d += diff * diff;
+    }
+    return d;
   };
-  const auto lane = run(kern::Mode::kScalar);
-  const auto legacy = run(kern::Mode::kLegacy);
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    EXPECT_NEAR(lane[i], legacy[i], 1e-9 * (1.0 + std::abs(legacy[i])))
-        << "candidate " << xs[i];
-  }
+  const auto expect_definition = [&](const std::vector<double>& got,
+                                     std::span<const std::uint32_t> terms,
+                                     double scale) {
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      double gain = 0.0;
+      for (const std::uint32_t t : terms) {
+        const double md = std::min(p0, dist(t, committed));
+        gain += std::max(0.0, md - dist(t, xs[i]));
+      }
+      gain *= scale;
+      EXPECT_NEAR(got[i], gain, 1e-9 * (1.0 + std::abs(gain)))
+          << "candidate " << xs[i];
+    }
+  };
+
+  ExemplarOracle exact(points, p0);
+  exact.add(committed);
+  std::vector<std::uint32_t> all(points->size());
+  std::iota(all.begin(), all.end(), 0u);
+  expect_definition(exact.gain_batch(xs), all, 1.0);
+
+  util::Rng rng(5);
+  SampledExemplarOracle sampled(points, p0, 120, rng);
+  sampled.add(committed);
+  const auto sample = sampled.sample_ids();
+  expect_definition(sampled.gain_batch(xs), sample,
+                    double(points->size()) / double(sample.size()));
 }
 
 // --- golden determinism regression (satellite: BDS_KERNEL × threads) --------

@@ -8,7 +8,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/greedy.h"
@@ -81,11 +83,28 @@ std::shared_ptr<const PointSet> random_points(std::size_t n, std::size_t dim,
   return points;
 }
 
-struct FamilyParam {
-  std::string name;
-  std::unique_ptr<SubmodularOracle> (*build)(std::uint64_t seed);
-  std::uint64_t seed;  // data seed handed to build
+// gtest prints a parameter type it has no printer for as its size and raw
+// bytes, and that text is part of each ctest name. So FamilyParam holds no
+// pointer and no padding (the builder is picked by Family), and every build
+// registers the same test names.
+enum class Family : std::uint64_t {
+  kCoverage,
+  kWeightedCoverage,
+  kProbCoverage,
+  kWeightedProbCoverage,
+  kIncrementalCoverage,
+  kSaturatedCoverage,
+  kSaturatedCoverageDiversity,
+  kExemplar,
+  kLogDet,
 };
+
+struct FamilyParam {
+  char name[32];
+  Family family;
+  std::uint64_t seed;  // data seed handed to the builder
+};
+static_assert(std::has_unique_object_representations_v<FamilyParam>);
 
 std::unique_ptr<SubmodularOracle> build_coverage(std::uint64_t seed) {
   return std::make_unique<CoverageOracle>(
@@ -142,10 +161,35 @@ std::unique_ptr<SubmodularOracle> build_logdet(std::uint64_t seed) {
   return std::make_unique<LogDetOracle>(random_points(40, 6, seed), 1.0, 0.5);
 }
 
+std::unique_ptr<SubmodularOracle> build_family(Family family,
+                                               std::uint64_t seed) {
+  switch (family) {
+    case Family::kCoverage:
+      return build_coverage(seed);
+    case Family::kWeightedCoverage:
+      return build_weighted_coverage(seed);
+    case Family::kProbCoverage:
+      return build_prob_coverage(seed);
+    case Family::kWeightedProbCoverage:
+      return build_weighted_prob_coverage(seed);
+    case Family::kIncrementalCoverage:
+      return build_incremental_coverage(seed);
+    case Family::kSaturatedCoverage:
+      return build_saturated(seed);
+    case Family::kSaturatedCoverageDiversity:
+      return build_saturated_diversity(seed);
+    case Family::kExemplar:
+      return build_exemplar(seed);
+    case Family::kLogDet:
+      return build_logdet(seed);
+  }
+  throw std::invalid_argument("unknown oracle family");
+}
+
 class ShardViewFamily : public ::testing::TestWithParam<FamilyParam> {
  protected:
   std::unique_ptr<SubmodularOracle> build() const {
-    return GetParam().build(GetParam().seed);
+    return build_family(GetParam().family, GetParam().seed);
   }
 
   // A deterministic shard: every third element, plus the tail element.
@@ -250,19 +294,19 @@ TEST_P(ShardViewFamily, DuplicateShardEntriesCollapse) {
 INSTANTIATE_TEST_SUITE_P(
     AllFamilies, ShardViewFamily,
     ::testing::Values(
-        FamilyParam{"Coverage", &build_coverage, 11},
-        FamilyParam{"WeightedCoverage", &build_weighted_coverage, 12},
-        FamilyParam{"ProbCoverage", &build_prob_coverage, 14},
-        FamilyParam{"WeightedProbCoverage", &build_weighted_prob_coverage,
+        FamilyParam{"Coverage", Family::kCoverage, 11},
+        FamilyParam{"WeightedCoverage", Family::kWeightedCoverage, 12},
+        FamilyParam{"ProbCoverage", Family::kProbCoverage, 14},
+        FamilyParam{"WeightedProbCoverage", Family::kWeightedProbCoverage,
                     15},
-        FamilyParam{"IncrementalCoverage", &build_incremental_coverage, 11},
-        FamilyParam{"SaturatedCoverage", &build_saturated, 17},
-        FamilyParam{"SaturatedCoverageDiversity", &build_saturated_diversity,
-                    18},
-        FamilyParam{"Exemplar", &build_exemplar, 19},
-        FamilyParam{"LogDet", &build_logdet, 20}),
+        FamilyParam{"IncrementalCoverage", Family::kIncrementalCoverage, 11},
+        FamilyParam{"SaturatedCoverage", Family::kSaturatedCoverage, 17},
+        FamilyParam{"SaturatedCoverageDiversity",
+                    Family::kSaturatedCoverageDiversity, 18},
+        FamilyParam{"Exemplar", Family::kExemplar, 19},
+        FamilyParam{"LogDet", Family::kLogDet, 20}),
     [](const ::testing::TestParamInfo<FamilyParam>& info) {
-      return info.param.name;
+      return std::string(info.param.name);
     });
 
 // A worker oracle is itself an oracle, so cloning it (what a nested round

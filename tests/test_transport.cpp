@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -473,6 +474,13 @@ struct CorruptionCase {
   std::string bytes;        // what the "worker" sends
   const char* expect_text;  // substring the error must contain
 };
+
+// gtest prints the parameter into each ctest name. Its default printout is
+// the raw bytes, which hold pointers that change from run to run, so print
+// the case name instead.
+void PrintTo(const CorruptionCase& test_case, std::ostream* os) {
+  *os << test_case.name;
+}
 
 std::string valid_frame() {
   return wire::encode_frame(wire::FrameType::kResponse, "payload");
