@@ -16,18 +16,15 @@
 //                   `mmap` section (heap vs zero-copy mapped load of a
 //                   ~10M-set on-disk corpus: load time, cold-page-cache
 //                   first-round latency, and the worker clone's state).
-//                   A `lazy` section compares the cross-round bound
-//                   substrate (core/bound_heap.h) against eager accounting
-//                   on a 4-round coverage bicriteria workload: total/worker
-//                   oracle evals, the metered evals_avoided, and min-of-N
-//                   wall clock for both modes. A `dynamic` section times the
-//                   mutation path (corpus apply, O(degree) incremental
-//                   oracle update vs O(corpus) rebuild), the certified
-//                   maintenance loop under churn (kept/resolved ledger and
-//                   re-solve rate), and sliding-window advance latency.
+//                   A `dynamic` section times the mutation path (corpus
+//                   apply, O(degree) incremental oracle update vs
+//                   O(corpus) rebuild), the certified maintenance loop
+//                   under churn (kept/resolved ledger and re-solve rate),
+//                   and sliding-window advance latency.
 //   --repeat N      repetitions for the measured-at-write-time timings (the
-//                   `lazy` section): one untimed warmup run, then the
-//                   minimum over N timed runs is reported. Default 1.
+//                   `dynamic` section's corpus apply): one untimed warmup
+//                   run, then the minimum over N timed runs is reported.
+//                   Default 1.
 //   --trace         run the canonical bicriteria workload under the
 //                   recoverable fault mix and print its structured round
 //                   trace as JSON.
@@ -54,7 +51,6 @@
 #include <vector>
 
 #include "core/bicriteria.h"
-#include "core/bound_heap.h"
 #include "core/greedy.h"
 #include "core/maintain.h"
 #include "core/window.h"
@@ -485,36 +481,6 @@ DistributedResult run_fault_workload(const BicriteriaConfig& cfg) {
   return bicriteria_greedy(proto, ground, cfg);
 }
 
-// Lazy-bound workload: heavy-tailed neighborhood coverage (the paper's
-// DBLP/LiveJournal stand-in), run deep (4 commit/filter cycles, 40 output
-// items) so bounds recorded in round r actually prune rounds r+1..3. The
-// planted instance above is deliberately NOT reused here: its random sets
-// all have the same size, so the gain profile is flat and nearly every
-// stale bound ties near the top — Minoux's worst case, where carrying
-// bounds saves almost nothing (~1.02x). On hub-dominated coverage the
-// profile is steep, bounds stay discriminative across rounds, and the
-// cross-round carry is what the numbers isolate.
-std::shared_ptr<const SetSystem> lazy_bench_sets() {
-  static const auto sets = data::neighborhood_sets(
-      data::powerlaw_cluster(3'000, 3, 0.5, 19), true);
-  return sets;
-}
-
-BicriteriaConfig lazy_bench_config() {
-  BicriteriaConfig cfg;
-  cfg.k = 10;
-  cfg.output_items = 40;
-  cfg.rounds = 4;
-  cfg.runtime.seed = 7;
-  return cfg;
-}
-
-DistributedResult run_lazy_workload(const BicriteriaConfig& cfg) {
-  const CoverageOracle proto(lazy_bench_sets());
-  const auto ground = ids(proto.ground_size());
-  return bicriteria_greedy(proto, ground, cfg);
-}
-
 // --repeat N support for the measured-at-write-time sections: one untimed
 // warmup call, then the minimum wall time over N timed calls. The results
 // the caller inspects come from the last call — every repetition is the
@@ -895,53 +861,6 @@ void write_gain_json(const std::string& path,
     out << "\n  },\n";
   }
 
-  // Cross-round lazy bound substrate (core/bound_heap.h): the coverage
-  // bicriteria workload run deep enough (4 rounds) that bounds survive
-  // several commit/filter cycles, under forced-eager and forced-lazy
-  // accounting. The selection must be bit-identical — laziness is a pure
-  // eval-count optimization — and the worker-eval reduction is the number
-  // the PR8 acceptance gate pins.
-  {
-    const auto cfg = lazy_bench_config();
-    DistributedResult eager;
-    DistributedResult lazy;
-    const double eager_s = min_wall_seconds([&] {
-      detail::ForcedLazy guard(false);
-      eager = run_lazy_workload(cfg);
-    });
-    const double lazy_s = min_wall_seconds([&] {
-      detail::ForcedLazy guard(true);
-      lazy = run_lazy_workload(cfg);
-    });
-    const double worker_eager = double(eager.stats.total_worker_evals());
-    const double worker_lazy = double(lazy.stats.total_worker_evals());
-    const double total_eager = double(eager.stats.total_evals());
-    const double total_lazy = double(lazy.stats.total_evals());
-    out << "  \"lazy\": {\n"
-        << "    \"workload\": \"bicriteria k=10 rounds=4 output=40 on "
-           "powerlaw-cluster neighborhood coverage (3000 nodes)\",\n"
-        << "    \"repeat\": " << g_repeat << ",\n"
-        << "    \"selection_identical\": "
-        << (lazy.solution == eager.solution ? "true" : "false") << ",\n"
-        << "    \"eager_total_evals\": " << eager.stats.total_evals()
-        << ",\n"
-        << "    \"lazy_total_evals\": " << lazy.stats.total_evals() << ",\n"
-        << "    \"eager_worker_evals\": "
-        << eager.stats.total_worker_evals() << ",\n"
-        << "    \"lazy_worker_evals\": " << lazy.stats.total_worker_evals()
-        << ",\n"
-        << "    \"evals_avoided\": " << lazy.stats.total_evals_avoided()
-        << ",\n"
-        << "    \"worker_eval_reduction\": "
-        << (worker_lazy > 0.0 ? worker_eager / worker_lazy : 0.0) << ",\n"
-        << "    \"total_eval_reduction\": "
-        << (total_lazy > 0.0 ? total_eager / total_lazy : 0.0) << ",\n"
-        << "    \"eager_min_s\": " << eager_s << ",\n"
-        << "    \"lazy_min_s\": " << lazy_s << ",\n"
-        << "    \"wall_speedup\": " << (lazy_s > 0.0 ? eager_s / lazy_s : 0.0)
-        << "\n  },\n";
-  }
-
   // Dynamic corpus: mutation-path costs and the certified churn ledger,
   // measured at write time (deterministic seeds, so stable across runs).
   {
@@ -1072,46 +991,11 @@ int check_prob_batch_speedup(
   return 0;
 }
 
-// The lazy-pruning regression gate: on the 4-round bicriteria workload the
-// bound-carrying run must produce the bit-identical selection with strictly
-// fewer oracle evaluations than eager accounting. Runs unconditionally —
-// it does not depend on --benchmark_filter, because it is the exit
-// criterion for the bound substrate itself, not a timing comparison.
-int check_lazy_pruning() {
-  const auto cfg = lazy_bench_config();
-  DistributedResult eager;
-  DistributedResult lazy;
-  {
-    detail::ForcedLazy guard(false);
-    eager = run_lazy_workload(cfg);
-  }
-  {
-    detail::ForcedLazy guard(true);
-    lazy = run_lazy_workload(cfg);
-  }
-  if (lazy.solution != eager.solution) {
-    std::fprintf(stderr,
-                 "FAIL: lazy bicriteria selection differs from eager — bound "
-                 "carrying must be a pure eval-count optimization\n");
-    return 1;
-  }
-  const std::uintmax_t eager_evals = eager.stats.total_evals();
-  const std::uintmax_t lazy_evals = lazy.stats.total_evals();
-  if (lazy_evals >= eager_evals) {
-    std::fprintf(stderr,
-                 "FAIL: lazy bounds avoided nothing (%ju evals lazy vs %ju "
-                 "eager)\n",
-                 lazy_evals, eager_evals);
-    return 1;
-  }
-  return 0;
-}
-
 // The dynamic-churn regression gate: on the deterministic churn workload
 // the certified maintenance loop must absorb at least one batch — a 100%
 // re-solve rate means the certificate never pays for itself and the
 // dynamic layer degenerated into solve-from-scratch-per-mutation. Runs
-// unconditionally, like check_lazy_pruning.
+// unconditionally: it does not depend on --benchmark_filter.
 int check_dynamic_churn() {
   const auto maintainer = run_churn_workload(64);
   const MaintainStats& stats = maintainer->stats();
@@ -1169,5 +1053,5 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   if (!json_path.empty()) write_gain_json(json_path, reporter.collected());
   return check_prob_batch_speedup(reporter.collected()) |
-         check_lazy_pruning() | check_dynamic_churn();
+         check_dynamic_churn();
 }

@@ -15,15 +15,6 @@
 // saved/spent. --smoke shrinks the workload and turns the comparison into
 // an exit gate: cached p50 must land below uncached p50, or the run fails —
 // the regression check CI runs on every push.
-//
-// The report also carries a `warm_start` section: on a fresh service, two
-// queries that differ only in epsilon (distinct cache keys, so both are
-// uncached computes) run under forced-lazy and forced-eager accounting.
-// The second lazy query warm-starts from the corpus's certified singleton
-// bounds seeded by the first, so it avoids the initial full-corpus scans —
-// the cross-query leg of the lazy-bound substrate (core/bound_heap.h).
-// Answers must be bitwise identical across all four runs; under --smoke
-// that identity plus second_avoided > first_avoided is an exit gate.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -35,7 +26,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/bound_heap.h"
 #include "core/registry.h"
 #include "data/graph_gen.h"
 #include "objectives/coverage.h"
@@ -95,41 +85,6 @@ void append_percentiles(std::ostringstream& out, const char* name,
   out << "\"" << name << "\":{\"count\":" << p.count << ",\"p50\":" << p.p50
       << ",\"p99\":" << p.p99 << ",\"mean\":" << p.mean << ",\"max\":" << p.max
       << "}";
-}
-
-// Two uncached queries (distinct epsilon → distinct cache keys, identical
-// runs — practical bicriteria ignores epsilon) on a fresh service, under
-// one forced lazy state. per-query evals come from stats() deltas.
-struct WarmProbe {
-  serve::ServeResult first;
-  serve::ServeResult second;
-  std::uint64_t first_spent = 0;
-  std::uint64_t second_spent = 0;
-};
-
-WarmProbe run_warm_probe(bool lazy_on,
-                         const std::shared_ptr<CoverageOracle>& oracle,
-                         const std::string& algorithm, std::size_t k,
-                         std::uint64_t seed) {
-  const detail::ForcedLazy guard(lazy_on);
-  serve::SummaryService probe{serve::ServiceOptions{}};
-  probe.add_corpus("corpus", "coverage", oracle);
-  serve::Query q;
-  q.corpus = "corpus";
-  q.algorithm = algorithm;
-  q.k = k;
-  q.output_items = 2 * k;
-  q.rounds = 2;
-  q.tenant = "tenant-warm";
-  q.runtime.seed = seed;
-  WarmProbe w;
-  q.epsilon = 0.1;
-  w.first = probe.query(q);
-  w.first_spent = probe.stats().evals_spent;
-  q.epsilon = 0.2;
-  w.second = probe.query(q);
-  w.second_spent = probe.stats().evals_spent - w.first_spent;
-  return w;
 }
 
 }  // namespace
@@ -227,17 +182,6 @@ int main(int argc, char** argv) {
     const serve::ServiceStats stats = service.stats();
     const serve::CacheStats cache = service.cache_stats();
 
-    const WarmProbe lazy_probe =
-        run_warm_probe(true, oracle, algorithm, k_base, seed);
-    const WarmProbe eager_probe =
-        run_warm_probe(false, oracle, algorithm, k_base, seed);
-    const bool warm_identical =
-        lazy_probe.first.solution == eager_probe.first.solution &&
-        lazy_probe.second.solution == eager_probe.second.solution &&
-        lazy_probe.first.solution == lazy_probe.second.solution &&
-        lazy_probe.first.value == eager_probe.first.value &&
-        lazy_probe.second.value == eager_probe.second.value;
-
     std::ostringstream json;
     json << "{\"bench\":\"serve\",\"config\":{\"nodes\":" << nodes
          << ",\"queries\":" << n_queries << ",\"clients\":" << clients
@@ -259,21 +203,7 @@ int main(int argc, char** argv) {
          << ",\"spent\":" << stats.evals_spent << "},"
          << "\"cache\":{\"insertions\":" << cache.insertions
          << ",\"replacements\":" << cache.replacements
-         << ",\"evictions\":" << cache.evictions << "},"
-         << "\"warm_start\":{\"identical_answers\":"
-         << (warm_identical ? "true" : "false")
-         << ",\"lazy\":{\"first_spent\":" << lazy_probe.first_spent
-         << ",\"second_spent\":" << lazy_probe.second_spent
-         << ",\"first_avoided\":" << lazy_probe.first.evals_avoided
-         << ",\"second_avoided\":" << lazy_probe.second.evals_avoided << "}"
-         << ",\"eager\":{\"first_spent\":" << eager_probe.first_spent
-         << ",\"second_spent\":" << eager_probe.second_spent << "}"
-         << ",\"uncached_eval_drop\":"
-         << (lazy_probe.second_spent > 0
-                 ? static_cast<double>(eager_probe.second_spent) /
-                       static_cast<double>(lazy_probe.second_spent)
-                 : 0.0)
-         << "},";
+         << ",\"evictions\":" << cache.evictions << "},";
     append_percentiles(json, "latency_seconds", p_all);
     json << ",";
     append_percentiles(json, "cached_latency_seconds", p_cached);
@@ -312,8 +242,7 @@ int main(int argc, char** argv) {
       // The latency comparison is a timing assertion; on a single-core
       // container the client threads contend for the one core and cached
       // p50 can legitimately exceed uncached p50. Skip it explicitly there
-      // (hardware_concurrency is recorded in the report either way) — the
-      // correctness gates below still run.
+      // (hardware_concurrency is recorded in the report either way).
       if (std::thread::hardware_concurrency() < 2) {
         std::fprintf(stderr,
                      "SKIP: cached-vs-uncached p50 gate needs >= 2 hardware "
@@ -324,25 +253,6 @@ int main(int argc, char** argv) {
                      "smoke gate: cached p50 %.6fs not below uncached p50 "
                      "%.6fs\n",
                      p_cached.p50, p_uncached.p50);
-        return 1;
-      }
-      if (!warm_identical) {
-        std::fprintf(stderr,
-                     "smoke gate: warm-start answers differ across lazy/"
-                     "eager accounting — bound carrying must be a pure "
-                     "eval-count optimization\n");
-        return 1;
-      }
-      if (lazy_probe.second.evals_avoided <=
-          lazy_probe.first.evals_avoided) {
-        std::fprintf(stderr,
-                     "smoke gate: second uncached query avoided %llu evals, "
-                     "not more than the first's %llu — the singleton-bound "
-                     "warm start is not pruning\n",
-                     static_cast<unsigned long long>(
-                         lazy_probe.second.evals_avoided),
-                     static_cast<unsigned long long>(
-                         lazy_probe.first.evals_avoided));
         return 1;
       }
     }

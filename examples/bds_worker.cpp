@@ -16,7 +16,6 @@
 #include <memory>
 #include <string>
 
-#include "core/bound_heap.h"
 #include "core/machine_runner.h"
 #include "data/corpus.h"
 #include "dist/cluster.h"
@@ -39,7 +38,6 @@ const std::string kPeer = "coordinator";
 
 struct WorkerState {
   std::size_t machine = 0;
-  std::size_t ground_size = 0;
   std::unique_ptr<bds::SubmodularOracle> proto;
 };
 
@@ -58,7 +56,6 @@ void handle_hello(const wire::Frame& frame, WorkerState& state) {
       bds::data::CorpusSpec::deserialize(hello.corpus_spec);
   state.proto = spec.make_oracle();
   state.machine = hello.machine;
-  state.ground_size = hello.ground_size;
   wire::write_frame(kOutFd, wire::FrameType::kHelloAck,
                     wire::encode_hello_ack(static_cast<std::int64_t>(getpid())),
                     nullptr, kPeer);
@@ -82,17 +79,6 @@ void handle_request(const wire::Frame& frame, const WorkerState& state) {
   const std::unique_ptr<bds::SubmodularOracle> central = state.proto->clone();
   for (const bds::ElementId x : plan.committed) central->add(x);
 
-  // Rehydrate the shard's warm-start certificates into a local store; the
-  // worker functor reads them exactly as it would read the coordinator's.
-  bds::detail::BoundStore bounds;
-  if (plan.lazy_bounds) {
-    bounds.reset(state.ground_size);
-    for (std::size_t i = 0; i < request.bound_ids.size(); ++i) {
-      bounds.record(request.bound_ids[i], request.bound_gains[i],
-                    request.bound_prefixes[i]);
-    }
-  }
-
   bds::dist::Cluster::WorkerFn fn;
   if (plan.kind == WorkerPlanKind::kThreshold) {
     bds::detail::ThresholdWorkerConfig config;
@@ -109,7 +95,6 @@ void handle_request(const wire::Frame& frame, const WorkerState& state) {
     config.seed = plan.seed;
     config.round = plan.round;
     config.central = central.get();
-    if (plan.lazy_bounds) config.bounds = &bounds;
     fn = bds::detail::make_machine_worker(config);
   }
 

@@ -4,15 +4,8 @@
 # --checkpoint-dir) and resumed from its checkpoint must print exactly the
 # same result summary as the uninterrupted run. Complements the in-process
 # tests in tests/test_engine.cpp by exercising the file format and flag
-# plumbing end-to-end.
-#
-# Two passes, because resume restarts the lazy-bound store cold (bounds are
-# deliberately never checkpointed — see DESIGN.md):
-#  * BDS_LAZY=off — the selection AND the exact eval counts must match the
-#    uninterrupted run line for line;
-#  * default (lazy on) — the selection lines (items, f(S), rounds) must
-#    still match bitwise, but a resumed run re-derives the bounds it lost,
-#    so eval totals legitimately differ and are excluded.
+# plumbing end-to-end. The selection lines (items, f(S), rounds) and the
+# exact oracle-eval total must match the uninterrupted run line for line.
 #
 # usage: scripts/check_resume.sh path/to/bds_cli
 set -euo pipefail
@@ -26,9 +19,8 @@ DATASET=(--dataset synthetic --universe 2000 --planted 40 --decoys 2000
 
 summary() {
   # The deterministic lines of the report (drop wall time / eval seconds).
-  # $SUMMARY_LINES is the pass-specific subset.
   "$CLI" "${DATASET[@]}" "$@" |
-    grep -E "$SUMMARY_LINES"
+    grep -E 'items output|f\(S\)|rounds|oracle evals \(total\)'
 }
 
 check() {
@@ -42,23 +34,10 @@ check() {
   diff -u "${workdir}/full.txt" "${workdir}/resumed.txt"
 }
 
-check_all() {
-  check bicriteria --algorithm bicriteria --k 5 --rounds 3 --output 12
-  check hybrid     --algorithm hybrid --k 4 --rounds 3 --eps 0.3
-  check naive      --algorithm naive --k 5 --eps 0.1
-  check parallel   --algorithm parallel --k 5 --eps 0.3
-  check scaling    --algorithm scaling --k 6 --eps 0.25
-}
-
-echo "=== pass 1: BDS_LAZY=off (selections and eval counts must match)"
-export BDS_LAZY=off
-SUMMARY_LINES='items output|f\(S\)|rounds|oracle evals \(total\)'
-check_all
-
-echo "=== pass 2: lazy on (selections must match; resumed eval counts may"
-echo "===         differ — the bound store restarts cold)"
-unset BDS_LAZY
-SUMMARY_LINES='items output|f\(S\)|rounds'
-check_all
+check bicriteria --algorithm bicriteria --k 5 --rounds 3 --output 12
+check hybrid     --algorithm hybrid --k 4 --rounds 3 --eps 0.3
+check naive      --algorithm naive --k 5 --eps 0.1
+check parallel   --algorithm parallel --k 5 --eps 0.3
+check scaling    --algorithm scaling --k 6 --eps 0.25
 
 echo "checkpoint/resume: all algorithms reproduce the uninterrupted run"

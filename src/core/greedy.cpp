@@ -80,12 +80,11 @@ GreedyResult lazy_greedy_bounded(SubmodularOracle& oracle,
                                  std::span<const ElementId> candidates,
                                  std::size_t budget,
                                  const GreedyOptions& options,
-                                 const detail::BoundStore* bounds,
+                                 const detail::BoundStore* /*bounds*/,
                                  LazyGreedyStats* stats) {
   const std::vector<ElementId> pool = unique_candidates(candidates);
   // Staleness clock: an entry is current iff its prefix equals the
-  // committed-prefix length base_prefix + |picks so far|. With no store
-  // this reduces to the classic per-run iteration stamp.
+  // committed-prefix length base_prefix + |picks so far|.
   const std::size_t base_prefix = oracle.current_set().size();
 
   std::uint64_t performed = 0;       // gain evaluations (not add() commits)
@@ -100,34 +99,16 @@ GreedyResult lazy_greedy_bounded(SubmodularOracle& oracle,
 
   detail::BoundHeap heap;
   {
-    // Split the pool into certified candidates (seed the heap at their
-    // stale-but-valid bound for free) and uncertified ones, which pay the
-    // classic initial scan at base_prefix, in one batch in pool order —
-    // with no store every candidate lands here and this is byte-for-byte
-    // the pre-substrate lazy_greedy first pass.
+    // The initial scan: every candidate at base_prefix, in one batch in
+    // pool order.
+    std::vector<double> init_gains(pool.size());
+    oracle.gain_batch(pool, init_gains);
+    performed += pool.size();
     std::vector<detail::BoundHeap::Item> items;
     items.reserve(pool.size());
-    std::vector<ElementId> missing;
-    std::vector<std::size_t> missing_idx;
-    missing.reserve(pool.size());
-    missing_idx.reserve(pool.size());
     for (std::size_t i = 0; i < pool.size(); ++i) {
-      detail::BoundEntry entry;
-      if (bounds != nullptr && bounds->lookup(pool[i], &entry) &&
-          entry.prefix <= base_prefix) {
-        items.push_back(detail::BoundHeap::Item{entry.bound, i, entry.prefix});
-      } else {
-        missing.push_back(pool[i]);
-        missing_idx.push_back(i);
-      }
-    }
-    std::vector<double> init_gains(missing.size());
-    oracle.gain_batch(missing, init_gains);
-    performed += missing.size();
-    for (std::size_t m = 0; m < missing.size(); ++m) {
-      items.push_back(detail::BoundHeap::Item{init_gains[m], missing_idx[m],
-                                      base_prefix});
-      record_eval(missing[m], init_gains[m], base_prefix);
+      items.push_back(detail::BoundHeap::Item{init_gains[i], i, base_prefix});
+      record_eval(pool[i], init_gains[i], base_prefix);
     }
     heap.bulk_load(std::move(items));
   }

@@ -61,12 +61,9 @@ GreedyResult lazy_greedy(SubmodularOracle& oracle,
                          std::size_t budget,
                          const GreedyOptions& options = {});
 
-// Metering + certificate export for lazy_greedy_bounded. `eval_*` records
-// every exact gain the run computed (initial scans and heap refreshes, not
-// add() commits), tagged with the committed-prefix length it was computed
-// at — exactly what a BoundStore absorbs. Consumers that may only trust a
-// subset (workers: gains on top of *local* picks are not global bounds)
-// filter by prefix.
+// Metering for lazy_greedy_bounded. `eval_*` records every exact gain the
+// run computed (the initial scan and heap refreshes, not add() commits),
+// tagged with the committed-prefix length it was computed at.
 struct LazyGreedyStats {
   std::uint64_t evals = 0;          // gain evaluations actually performed
   // Evaluations a full eager re-scan (greedy()) of the same selection
@@ -78,16 +75,9 @@ struct LazyGreedyStats {
   std::vector<std::size_t> eval_prefixes;
 };
 
-// lazy_greedy with a cross-run warm start: candidates with a certificate in
-// `bounds` (an exact gain recorded at prefix ≤ the oracle's current
-// committed-prefix length) skip the initial scan and enter the heap at
-// their stale bound; an entry whose prefix *equals* the current prefix is
-// exact and needs no refresh at all (clones give bit-identical gains).
-// Selection is bit-identical to greedy() and lazy_greedy() in all cases —
-// bounds only change how many evaluations it takes to find the same
-// argmax. With bounds == nullptr and stats == nullptr this *is*
-// lazy_greedy: same evaluations, same order, same bits.
-// The committed-prefix clock is oracle.current_set().size().
+// lazy_greedy with metering: same evaluations, same order, same bits.
+// `bounds` must be null (detail::BoundStore is declared, never defined);
+// every selection starts from a fresh scan of its candidates.
 GreedyResult lazy_greedy_bounded(SubmodularOracle& oracle,
                                  std::span<const ElementId> candidates,
                                  std::size_t budget,

@@ -47,32 +47,11 @@ dist::Cluster::WorkerFn make_machine_worker(
       oracle = config.central->shard_view(shard);
     }
     util::Rng rng = machine_rng(config.seed, config.round, machine);
+    const GreedyResult selection =
+        run_selector(*oracle, shard, config.budget, config.selector,
+                     config.stochastic_c, config.stop_when_no_gain, rng);
     dist::WorkerOutput output;
-    if (config.bounds != nullptr && config.factory == nullptr &&
-        config.selector == MachineSelector::kLazyGreedy) {
-      // Bounded lazy worker: warm-start from the engine's cross-round
-      // certificates and export the gains computed at the round's shared
-      // committed prefix (gains on top of *local* picks are marginals over
-      // a set no other machine shares — not valid global bounds).
-      const std::size_t base_prefix = oracle->current_set().size();
-      LazyGreedyStats stats;
-      const GreedyResult selection =
-          lazy_greedy_bounded(*oracle, shard, config.budget,
-                              {config.stop_when_no_gain}, config.bounds,
-                              &stats);
-      output.summary = selection.picks;
-      output.evals_avoided = stats.evals_avoided;
-      for (std::size_t i = 0; i < stats.eval_ids.size(); ++i) {
-        if (stats.eval_prefixes[i] != base_prefix) continue;
-        output.bound_ids.push_back(stats.eval_ids[i]);
-        output.bound_gains.push_back(stats.eval_gains[i]);
-      }
-    } else {
-      const GreedyResult selection =
-          run_selector(*oracle, shard, config.budget, config.selector,
-                       config.stochastic_c, config.stop_when_no_gain, rng);
-      output.summary = selection.picks;
-    }
+    output.summary = selection.picks;
     output.oracle_evals = oracle->evals();
     output.state_bytes = oracle->state_bytes();
     return output;

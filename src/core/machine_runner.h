@@ -35,14 +35,6 @@ struct MachineWorkerConfig {
   // oracle is seeded with central->current_set() before selection.
   // Otherwise the machine runs central->shard_view(shard), a clone.
   const MachineOracleFactory* factory = nullptr;
-  // Cross-round lazy-bound store (core/bound_heap.h). When set and the
-  // selector is kLazyGreedy (and no factory), the worker seeds its heap
-  // from these certificates and exports the exact gains it computed at the
-  // round's shared committed prefix via WorkerOutput::bound_ids/gains.
-  // Workers only *read* the store — it must stay unmodified for the whole
-  // round so retried attempts remain pure in (machine, shard). Selections
-  // are bit-identical with or without it.
-  const BoundStore* bounds = nullptr;
 };
 
 // Builds the worker functor for one cluster round. The returned callable is

@@ -1,7 +1,6 @@
 #include "core/maintain.h"
 
 #include <algorithm>
-#include <functional>
 #include <stdexcept>
 #include <utility>
 
@@ -90,28 +89,11 @@ void CertifiedMaintainer::sync_oracle(std::uint64_t from_epoch) {
 
 double CertifiedMaintainer::recertify() {
   const std::vector<ElementId> ground = corpus_->live_ground();
-  // Same math as core/upper_bound's solution_upper_bound, done inline so
-  // f(S) (needed for the ratio) and the eval cost are both observable.
-  const auto probe = seeded_clone(*oracle_, solution_);
-  value_ = probe->value();
-  std::vector<double> top;
-  top.reserve(config_.k + 1);
-  for (const ElementId x : ground) {
-    const double g = probe->gain(x);
-    if (g <= 0.0) continue;
-    if (top.size() < config_.k) {
-      top.push_back(g);
-      std::push_heap(top.begin(), top.end(), std::greater<>());
-    } else if (!top.empty() && g > top.front()) {
-      std::pop_heap(top.begin(), top.end(), std::greater<>());
-      top.back() = g;
-      std::push_heap(top.begin(), top.end(), std::greater<>());
-    }
-  }
-  double bound = value_;
-  for (const double g : top) bound += g;
-  upper_bound_ = std::min(bound, oracle_->max_value());
-  stats_.certificate_evals += probe->evals();
+  const SolutionCertificate cert =
+      certify_solution(*oracle_, solution_, ground, config_.k);
+  value_ = cert.value;
+  upper_bound_ = cert.upper_bound;
+  stats_.certificate_evals += cert.evals;
   ratio_ = upper_bound_ > 0.0 ? value_ / upper_bound_ : 1.0;
   return ratio_;
 }

@@ -194,7 +194,8 @@ struct Checkpoint {
   // Format version; bumped on any serialized-field change. Loaders reject
   // versions they do not understand (no silent forward compatibility).
   // v3: RoundSpan/AttemptSpan transport + wire-byte fields.
-  static constexpr std::uint32_t kVersion = 3;
+  // v4: RoundStats and RoundSpan lost their evals_avoided fields.
+  static constexpr std::uint32_t kVersion = 4;
 
   std::string program_id;   // RoundProgram::id of the producing run
   std::uint64_t seed = 0;   // RuntimeOptions::seed of the producing run

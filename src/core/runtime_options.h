@@ -15,7 +15,6 @@
 #include <memory>
 #include <string>
 
-#include "core/bound_heap.h"
 #include "core/distributed.h"
 #include "core/round_spec.h"
 
@@ -52,13 +51,6 @@ struct RuntimeOptions {
   // Consumed by the drivers that own dataset loading (bds_cli,
   // bench_support.h) — the executor itself never touches dataset files.
   bool mmap_datasets = false;
-  // Cross-query lazy-bound warm start (core/bound_heap.h): when set — the
-  // serve layer attaches one cache per corpus — engine runs seed their
-  // bound store's prefix-0 fallback from it and harvest newly computed
-  // singleton gains f({x}) back into it. Purely an eval-count optimization;
-  // selections are bit-identical with or without it, and it is ignored
-  // entirely under BDS_LAZY=off.
-  std::shared_ptr<detail::SingletonBoundCache> singleton_bounds;
 
   // --- execution backend (dist/transport.h) ---
   TransportKind transport = TransportKind::kInProcess;

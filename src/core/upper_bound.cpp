@@ -6,12 +6,13 @@
 
 namespace bds {
 
-double solution_upper_bound(const SubmodularOracle& proto,
-                            std::span<const ElementId> solution,
-                            std::span<const ElementId> ground,
-                            std::size_t k) {
+SolutionCertificate certify_solution(const SubmodularOracle& proto,
+                                     std::span<const ElementId> solution,
+                                     std::span<const ElementId> ground,
+                                     std::size_t k) {
   const auto oracle = seeded_clone(proto, solution);
-  const double base = oracle->value();
+  SolutionCertificate cert;
+  cert.value = oracle->value();
 
   // Top-k marginals via a size-k min-heap over the ground set.
   std::vector<double> top;
@@ -28,9 +29,18 @@ double solution_upper_bound(const SubmodularOracle& proto,
       std::push_heap(top.begin(), top.end(), std::greater<>());
     }
   }
-  double bound = base;
+  double bound = cert.value;
   for (const double g : top) bound += g;
-  return std::min(bound, proto.max_value());
+  cert.upper_bound = std::min(bound, proto.max_value());
+  cert.evals = oracle->evals();
+  return cert;
+}
+
+double solution_upper_bound(const SubmodularOracle& proto,
+                            std::span<const ElementId> solution,
+                            std::span<const ElementId> ground,
+                            std::size_t k) {
+  return certify_solution(proto, solution, ground, k).upper_bound;
 }
 
 double best_upper_bound(const SubmodularOracle& proto,

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 
 #include "objectives/submodular.h"
@@ -17,9 +18,23 @@
 
 namespace bds {
 
-// Upper bound on f(OPT_k) derived from `solution`. `proto` must be a fresh
-// (empty-set) oracle prototype; `ground` is the candidate universe scanned
-// for the top-k marginals. O(|ground|) oracle evaluations.
+// One evaluated certificate: f(S), the bound it certifies and its cost.
+struct SolutionCertificate {
+  double value = 0.0;        // f(solution)
+  double upper_bound = 0.0;  // the bound on f(OPT_k), capped by max_value()
+  std::uint64_t evals = 0;   // |solution| adds plus one gain per ground item
+};
+
+// The certificate of `solution`. `proto` must be a fresh (empty-set)
+// oracle prototype; `ground` is the candidate universe scanned for the
+// top-k marginals. O(|ground|) oracle evaluations.
+SolutionCertificate certify_solution(const SubmodularOracle& proto,
+                                     std::span<const ElementId> solution,
+                                     std::span<const ElementId> ground,
+                                     std::size_t k);
+
+// Upper bound on f(OPT_k) derived from `solution`: certify_solution's
+// bound.
 double solution_upper_bound(const SubmodularOracle& proto,
                             std::span<const ElementId> solution,
                             std::span<const ElementId> ground, std::size_t k);

@@ -1,10 +1,10 @@
 #include "core/window.h"
 
 #include <algorithm>
-#include <functional>
 #include <stdexcept>
 
 #include "core/streaming.h"
+#include "core/upper_bound.h"
 
 namespace bds {
 
@@ -68,28 +68,13 @@ void SlidingWindowSieve::resolve() {
   stats_.oracle_evals += sieved.oracle_evals;
   ++stats_.resolves;
 
-  // Exact certificate over the current window (core/upper_bound math), so
-  // the per-tick singleton slack resets instead of compounding.
-  const auto probe = seeded_clone(*proto_, solution_);
-  value_ = probe->value();
-  std::vector<double> top;
-  top.reserve(config_.k + 1);
-  for (const ElementId w : window_vec_) {
-    const double g = probe->gain(w);
-    if (g <= 0.0) continue;
-    if (top.size() < config_.k) {
-      top.push_back(g);
-      std::push_heap(top.begin(), top.end(), std::greater<>());
-    } else if (!top.empty() && g > top.front()) {
-      std::pop_heap(top.begin(), top.end(), std::greater<>());
-      top.back() = g;
-      std::push_heap(top.begin(), top.end(), std::greater<>());
-    }
-  }
-  double bound = value_;
-  for (const double g : top) bound += g;
-  upper_bound_ = std::min(bound, proto_->max_value());
-  stats_.oracle_evals += probe->evals();
+  // Exact certificate over the current window, so the per-tick singleton
+  // slack resets instead of compounding.
+  const SolutionCertificate cert =
+      certify_solution(*proto_, solution_, window_vec_, config_.k);
+  value_ = cert.value;
+  upper_bound_ = cert.upper_bound;
+  stats_.oracle_evals += cert.evals;
 }
 
 }  // namespace bds

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -88,30 +89,40 @@ const FileHeader& check_v2(const RawFile& raw, PayloadKind kind) {
   }
   if (header.file_bytes != raw.size) fail("truncated file", raw.path);
 
+  // Section geometry in checked u64 arithmetic: a forged field must not
+  // wrap a size or an end offset back into the file.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const auto mul = [&](std::uint64_t a, std::uint64_t b) {
+    if (a != 0 && b > kMax / a) fail("section out of bounds", raw.path);
+    return a * b;
+  };
+  const auto add = [&](std::uint64_t a, std::uint64_t b) {
+    if (b > kMax - a) fail("section out of bounds", raw.path);
+    return a + b;
+  };
   std::uint64_t a_bytes = 0;
   std::uint64_t b_bytes = 0;
   switch (kind) {
     case PayloadKind::kSetSystem:
-      a_bytes = (header.count + 1) * sizeof(std::uint64_t);
-      b_bytes = header.meta_b * sizeof(std::uint32_t);
+      a_bytes = mul(add(header.count, 1), sizeof(std::uint64_t));
+      b_bytes = mul(header.meta_b, sizeof(std::uint32_t));
       break;
     case PayloadKind::kPointSet:
-      a_bytes = header.count * header.meta_b * sizeof(float);
-      b_bytes = header.count * sizeof(double);
+      a_bytes = mul(mul(header.count, header.meta_b), sizeof(float));
+      b_bytes = mul(header.count, sizeof(double));
       break;
     case PayloadKind::kProbSetSystem:
-      a_bytes = (header.count + 1) * sizeof(std::uint64_t);
-      b_bytes = header.meta_b * sizeof(ProbSetSystem::Entry);
+      a_bytes = mul(add(header.count, 1), sizeof(std::uint64_t));
+      b_bytes = mul(header.meta_b, sizeof(ProbSetSystem::Entry));
       break;
   }
   if (header.section_a % kSectionAlign != 0 ||
       header.section_b % kSectionAlign != 0) {
     fail("misaligned section offset", raw.path);
   }
-  if (header.section_a < sizeof(FileHeader) ||
-      header.section_a + a_bytes > raw.size ||
-      header.section_b < header.section_a + a_bytes ||
-      header.section_b + b_bytes > raw.size) {
+  const std::uint64_t a_end = add(header.section_a, a_bytes);
+  if (header.section_a < sizeof(FileHeader) || a_end > raw.size ||
+      header.section_b < a_end || add(header.section_b, b_bytes) > raw.size) {
     fail("section out of bounds", raw.path);
   }
   return header;

@@ -45,12 +45,6 @@ std::uint64_t ExecutionStats::total_evals() const noexcept {
   return total_worker_evals() + total_central_evals();
 }
 
-std::uint64_t ExecutionStats::total_evals_avoided() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& r : rounds) total += r.evals_avoided;
-  return total;
-}
-
 std::uint64_t ExecutionStats::total_bytes_cloned() const noexcept {
   std::uint64_t total = 0;
   for (const auto& r : rounds) total += r.bytes_cloned;
@@ -332,8 +326,7 @@ std::vector<MachineReport> Cluster::run_round(const Partition& partition,
 }
 
 void Cluster::record_central_stage(std::uint64_t evals, double seconds,
-                                   std::uint64_t selected,
-                                   std::uint64_t evals_avoided) {
+                                   std::uint64_t selected) {
   if (stats_.rounds.empty()) {
     throw std::logic_error("record_central_stage before any round");
   }
@@ -341,11 +334,9 @@ void Cluster::record_central_stage(std::uint64_t evals, double seconds,
   round.central_evals = evals;
   round.central_seconds = seconds;
   round.central_selected = selected;
-  round.evals_avoided = evals_avoided;
 
   auto& span = stats_.trace.rounds.back();
   span.filter_seconds = seconds;
-  span.evals_avoided = evals_avoided;
   if (trace_sink_) trace_sink_(span);
 }
 

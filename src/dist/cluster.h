@@ -57,13 +57,9 @@ struct WorkerOutput {
   // Heap bytes of the worker's oracle state (its clone) —
   // what materializing this machine cost in memory.
   std::uint64_t state_bytes = 0;
-  // Lazy-bound certificates (core/bound_heap.h): exact gains this worker
-  // computed at the round's shared committed prefix (parallel id/gain
-  // arrays), exportable as upper bounds for later rounds, plus the
-  // evaluations lazy pruning saved vs. an eager re-scan. Empty/zero when
-  // the bound substrate is off. Certificate traffic is not counted into
-  // gather bytes — oracle evaluations are the paper's cost model, and the
-  // bounds ride the summary message a real deployment already sends.
+  // Reserved sections of the wire v2 response (dist/wire.h): the library's
+  // workers leave them empty and zero. Each machine's lazy greedy keeps its
+  // bounds to itself.
   std::vector<ElementId> bound_ids;
   std::vector<double> bound_gains;
   std::uint64_t evals_avoided = 0;
@@ -123,10 +119,6 @@ struct RoundStats {
   std::uint64_t central_evals = 0;
   double central_seconds = 0.0;
   std::uint64_t central_selected = 0;
-  // Oracle evaluations the lazy-bound substrate saved this round (workers +
-  // coordinator filter), measured against a full eager re-scan of the same
-  // selections. 0 when BDS_LAZY=off.
-  std::uint64_t evals_avoided = 0;
   // Best-of-machines merge probes: evaluations spent re-scoring candidate
   // machine summaries from scratch against the prototype oracle (the
   // GreeDi-family output rule). Metered separately from central_evals —
@@ -157,9 +149,6 @@ struct ExecutionStats {
   // historical worker + central definition.
   std::uint64_t total_merge_evals() const noexcept;
   std::uint64_t total_evals() const noexcept;
-  // Evaluations the lazy-bound substrate saved across rounds (see
-  // RoundStats::evals_avoided); informational, never part of total_evals().
-  std::uint64_t total_evals_avoided() const noexcept;
   // Scatter + gather traffic in bytes (sizeof(ElementId) per shipped id).
   std::uint64_t bytes_communicated() const noexcept;
   // Worker oracle state materialized across all rounds / its per-worker peak.
@@ -234,13 +223,9 @@ class Cluster {
 
   // Records the coordinator's filtering stage for the most recent round,
   // completes the round's trace span and fires the trace sink.
-  // `evals_avoided` is the round's whole lazy-bound saving (workers +
-  // filter); it must be passed here — not patched in afterwards — because
-  // this call publishes the span to the sink. Precondition: run_round()
-  // has been called at least once.
+  // Precondition: run_round() has been called at least once.
   void record_central_stage(std::uint64_t evals, double seconds,
-                            std::uint64_t selected,
-                            std::uint64_t evals_avoided = 0);
+                            std::uint64_t selected);
 
   const ExecutionStats& stats() const noexcept { return stats_; }
   ExecutionStats& mutable_stats() noexcept { return stats_; }

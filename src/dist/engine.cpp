@@ -42,8 +42,7 @@ void serialize_round_stats(std::ostream& out, const dist::RoundStats& r) {
       << r.wasted_evals << ' ' << r.retries << ' ' << r.faults_injected << ' '
       << r.machines_unheard << ' ' << double_bits(r.backoff_seconds) << ' '
       << r.central_evals << ' ' << double_bits(r.central_seconds) << ' '
-      << r.central_selected << ' ' << r.merge_evals << ' ' << r.evals_avoided
-      << '\n';
+      << r.central_selected << ' ' << r.merge_evals << '\n';
 }
 
 dist::RoundStats deserialize_round_stats(TokenReader& in) {
@@ -69,7 +68,6 @@ dist::RoundStats deserialize_round_stats(TokenReader& in) {
   r.central_seconds = in.real();
   r.central_selected = in.u64();
   r.merge_evals = in.u64();
-  r.evals_avoided = in.u64();
   return r;
 }
 
@@ -81,7 +79,7 @@ void serialize_round_span(std::ostream& out, const dist::RoundSpan& span) {
       << double_bits(span.map_seconds) << ' '
       << double_bits(span.gather_seconds) << ' '
       << double_bits(span.filter_seconds) << ' ' << span.retries << ' '
-      << span.faults_injected << ' ' << span.evals_avoided << ' '
+      << span.faults_injected << ' '
       << (span.transport.empty() ? "-" : span.transport.c_str()) << ' '
       << span.wire_bytes_sent << ' ' << span.wire_bytes_received << ' ';
   write_indices(out, span.unheard);
@@ -110,7 +108,6 @@ dist::RoundSpan deserialize_round_span(TokenReader& in) {
   span.filter_seconds = in.real();
   span.retries = in.u64();
   span.faults_injected = in.u64();
-  span.evals_avoided = in.u64();
   span.transport = in.word();
   if (span.transport == "-") span.transport.clear();
   span.wire_bytes_sent = in.u64();
@@ -189,15 +186,6 @@ struct EngineRun {
   std::size_t rounds_completed = 0;
   bool halted = false;
 
-  // Cross-round lazy-bound substrate (core/bound_heap.h). Engine-global and
-  // element-keyed (shards are re-randomized per round, so per-worker heaps
-  // would not survive anyway); written only between rounds, read-only while
-  // workers run. Never checkpointed: a resumed run starts cold — same
-  // selections, conservative eval counts (the documented invalidation-on-
-  // resume contract).
-  detail::BoundStore bounds;
-  bool lazy_active = false;
-
   EngineRun(const SubmodularOracle& proto_in,
             std::span<const ElementId> ground_in,
             const RoundProgram& program_in, const RuntimeOptions& runtime_in)
@@ -220,16 +208,6 @@ struct EngineRun {
     }
     cluster = std::make_unique<dist::Cluster>(program.machines,
                                               cluster_options);
-    // The substrate stays off for factory-built machine oracles: their
-    // gains are estimates over machine-local state, not marginals of the
-    // coordinator's f, so nothing certifies across machines or rounds.
-    lazy_active =
-        detail::lazy_enabled() &&
-        !(program.oracle_factory != nullptr && *program.oracle_factory);
-    if (lazy_active) {
-      bounds.reset(proto.ground_size());
-      bounds.attach_singletons(runtime.singleton_bounds);
-    }
     if (runtime.resume_from) {
       restore(*runtime.resume_from);
     } else {
@@ -314,10 +292,6 @@ struct EngineRun {
       config.round = rounds_completed;
       config.central = central.get();
       config.factory = custom_oracles ? program.oracle_factory : nullptr;
-      config.bounds =
-          (lazy_active && selector->selector == MachineSelector::kLazyGreedy)
-              ? &bounds
-              : nullptr;
       work.fn = detail::make_machine_worker(config);
       work.plan.kind = custom_oracles ? dist::WorkerPlanKind::kCustom
                                       : dist::WorkerPlanKind::kSelector;
@@ -325,8 +299,6 @@ struct EngineRun {
       work.plan.stochastic_c = selector->stochastic_c;
       work.plan.stop_when_no_gain = selector->stop_when_no_gain;
       work.plan.budget = selector->budget;
-      work.plan.lazy_bounds = config.bounds != nullptr;
-      work.bounds = config.bounds;
     } else if (const auto* thresh =
                    std::get_if<ThresholdWorkerSpec>(&spec.worker)) {
       detail::ThresholdWorkerConfig config;
@@ -348,42 +320,15 @@ struct EngineRun {
     return work;
   }
 
-  // Coordinator-side seeded lazy greedy: warm-starts the filter's heap from
-  // the cross-round store (which run_rounds just refilled with this round's
-  // worker-reported gains) and feeds every exact gain it computes back into
-  // the store for the next round's workers. Selections are bit-identical to
-  // plain lazy_greedy; only the eval count (metered into *avoided) changes.
-  GreedyResult central_lazy_greedy(std::span<const ElementId> candidates,
-                                   std::size_t budget,
-                                   const GreedyOptions& options,
-                                   std::uint64_t* avoided) {
-    if (!lazy_active) {
-      return lazy_greedy(*central, candidates, budget, options);
-    }
-    LazyGreedyStats stats;
-    const GreedyResult selection = lazy_greedy_bounded(
-        *central, candidates, budget, options, &bounds, &stats);
-    for (std::size_t i = 0; i < stats.eval_ids.size(); ++i) {
-      bounds.record(stats.eval_ids[i], stats.eval_gains[i],
-                    stats.eval_prefixes[i]);
-    }
-    *avoided += stats.evals_avoided;
-    return selection;
-  }
-
   // Runs the coordinator stage of one round: the filter variant, the
   // best-of-machines probes, the central-stage stats record and the
-  // RoundTrace. `worker_avoided` is the sum of the round's worker-side
-  // skipped evaluations, folded into the round's evals_avoided alongside
-  // whatever the central filter itself skips.
+  // RoundTrace.
   void run_filter(const RoundSpec& spec,
                   const std::vector<dist::MachineReport>& reports,
-                  const GreedyOptions& central_options,
-                  std::uint64_t worker_avoided) {
+                  const GreedyOptions& central_options) {
     util::Timer timer;
     const std::uint64_t evals_before = central->evals();
     std::uint64_t merge_evals = 0;
-    std::uint64_t avoided = worker_avoided;
     std::size_t added = 0;      // items committed to S this round
     std::size_t gathered = 0;   // pool-accumulate rounds: candidates gained
     const bool pool_round = std::holds_alternative<PoolFilterSpec>(spec.filter);
@@ -395,7 +340,7 @@ struct EngineRun {
                           report.summary().end());
       }
       const GreedyResult filtered =
-          central_lazy_greedy(candidates, f->budget, central_options, &avoided);
+          lazy_greedy(*central, candidates, f->budget, central_options);
       result.solution.insert(result.solution.end(), filtered.picks.begin(),
                              filtered.picks.end());
       added += filtered.picks.size();
@@ -415,8 +360,8 @@ struct EngineRun {
         candidates.insert(candidates.end(), reports[i].summary().begin(),
                           reports[i].summary().end());
       }
-      const GreedyResult filtered = central_lazy_greedy(
-          candidates, adopt->budget, central_options, &avoided);
+      const GreedyResult filtered =
+          lazy_greedy(*central, candidates, adopt->budget, central_options);
       result.solution.insert(result.solution.end(), filtered.picks.begin(),
                              filtered.picks.end());
       added += filtered.picks.size();
@@ -468,7 +413,7 @@ struct EngineRun {
     }
 
     cluster->record_central_stage(central->evals() - evals_before,
-                                  timer.elapsed_seconds(), added, avoided);
+                                  timer.elapsed_seconds(), added);
     cluster->mutable_stats().rounds.back().merge_evals = merge_evals;
 
     RoundTrace trace;
@@ -503,34 +448,7 @@ struct EngineRun {
 
       const std::vector<dist::MachineReport> reports =
           cluster->run_round(partition, make_work(*spec));
-      std::uint64_t worker_avoided = 0;
-      if (lazy_active) {
-        // Absorb the round's exported certificates before the filter runs so
-        // the central selection warm-starts from worker-computed gains. Any
-        // non-clean delivery (truncation, unheard shard) voids the whole
-        // round's exports *and* the carried store: a degraded summary may
-        // reflect a different delivered set than the one the gains came
-        // from, and conservatively dropping everything keeps the invariant
-        // "every stored bound is an exact past gain of the coordinator's f".
-        const std::size_t base_prefix = central->current_set().size();
-        bool clean = true;
-        for (const auto& report : reports) {
-          if (report.status != dist::DeliveryStatus::kDelivered) clean = false;
-          if (report.heard()) worker_avoided += report.worker.evals_avoided;
-        }
-        if (clean) {
-          for (const auto& report : reports) {
-            const auto& ids = report.worker.bound_ids;
-            const auto& gains = report.worker.bound_gains;
-            for (std::size_t i = 0; i < ids.size(); ++i) {
-              bounds.record(ids[i], gains[i], base_prefix);
-            }
-          }
-        } else {
-          bounds.clear();
-        }
-      }
-      run_filter(*spec, reports, central_options, worker_avoided);
+      run_filter(*spec, reports, central_options);
       ++rounds_completed;
 
       if (runtime.checkpoint_sink) runtime.checkpoint_sink(snapshot());
@@ -561,18 +479,14 @@ struct EngineRun {
       util::Timer final_timer;
       const GreedyOptions final_options{program.stop_when_no_gain};
       const std::uint64_t evals_before = central->evals();
-      std::uint64_t final_avoided = 0;
       const GreedyResult filtered =
-          central_lazy_greedy(pool, program.merge.final_filter_budget,
-                              final_options, &final_avoided);
+          lazy_greedy(*central, pool, program.merge.final_filter_budget,
+                      final_options);
       final_picks = filtered.picks;
       auto& last = cluster->mutable_stats().rounds.back();
       last.central_evals += central->evals() - evals_before;
       last.central_seconds += final_timer.elapsed_seconds();
       last.central_selected = filtered.picks.size();
-      // Folded in post-span like merge_evals: the final filter belongs to
-      // the last round's stats row, but its span already fired.
-      last.evals_avoided += final_avoided;
     }
 
     if (program.merge.rule == MergeRule::kBestOfMachines) {

@@ -55,8 +55,7 @@ std::string trace_to_json(const ExecutionTrace& trace) {
         << ",\"wire_bytes_sent\":" << round.wire_bytes_sent
         << ",\"wire_bytes_received\":" << round.wire_bytes_received
         << ",\"retries\":" << round.retries
-        << ",\"faults_injected\":" << round.faults_injected
-        << ",\"evals_avoided\":" << round.evals_avoided;
+        << ",\"faults_injected\":" << round.faults_injected;
     out << ",\"unheard\":[";
     for (std::size_t i = 0; i < round.unheard.size(); ++i) {
       if (i != 0) out << ",";
@@ -86,7 +85,6 @@ std::string query_spans_to_json(const std::vector<QuerySpan>& spans) {
     out << "\n{\"query\":" << q.query_id << ",\"tenant\":\"" << q.tenant
         << "\",\"outcome\":\"" << q.outcome << "\",\"k\":" << q.budget_k
         << ",\"items\":" << q.items
-        << ",\"evals_avoided\":" << q.evals_avoided
         << ",\"queue_seconds\":" << q.queue_seconds
         << ",\"run_seconds\":" << q.run_seconds
         << ",\"total_seconds\":" << q.total_seconds

@@ -55,9 +55,6 @@ struct RoundSpan {
   double filter_seconds = 0.0;   // coordinator stage (record_central_stage)
   std::uint64_t retries = 0;             // re-executions across machines
   std::uint64_t faults_injected = 0;     // fault events across attempts
-  // Oracle evaluations the lazy-bound substrate saved this round (workers +
-  // filter), vs. an eager re-scan; see RoundStats::evals_avoided.
-  std::uint64_t evals_avoided = 0;
   // Which ClusterTransport backend executed the round's attempts
   // ("inproc", "process") and the round's summed wire traffic across all
   // attempts — 0 bytes for in-process, where nothing is serialized. Lets
@@ -96,9 +93,6 @@ struct QuerySpan {
   std::string outcome;
   std::size_t budget_k = 0;
   std::size_t items = 0;       // items actually served
-  // Oracle evaluations the lazy-bound substrate saved inside this query's
-  // computation (0 for hits — no run happened at all).
-  std::uint64_t evals_avoided = 0;
   double queue_seconds = 0.0;  // admission until compute start (0 for hits)
   double run_seconds = 0.0;    // cache-miss computation (0 for hits)
   double total_seconds = 0.0;  // submit to answer

@@ -28,7 +28,7 @@
 // threads (one machine per thread) and possibly repeatedly per machine
 // (retries). A transport must be thread-safe across machines and must
 // return a pure function of (round, machine, shard, work) in every field
-// the determinism contract covers (summary, eval counts, bound exports);
+// the determinism contract covers (summary, eval counts);
 // `seconds` and wire-byte counts are reporting, not contract.
 #pragma once
 
@@ -40,7 +40,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/bound_heap.h"
 #include "core/distributed.h"
 #include "dist/cluster.h"
 #include "dist/faults.h"
@@ -78,9 +77,7 @@ struct WorkerPlan {
   // Shared execution context.
   std::uint64_t seed = 1;   // base seed; per-machine streams are derived
   std::size_t round = 0;    // round index, mixed into per-machine seeds
-  // Lazy-bound substrate active for this round's workers: the request
-  // carries shard-restricted warm-start certificates and the response
-  // carries the worker's base-prefix bound exports.
+  // Reserved flag of the wire v2 plan line; the library leaves it false.
   bool lazy_bounds = false;
   // The coordinator's exact committed set (selection order).
   std::vector<ElementId> committed;
@@ -88,13 +85,10 @@ struct WorkerPlan {
 
 // One round's worker work, in both executable forms. `fn` is always set
 // and is what the in-process backend runs; `plan` is what the process
-// backend ships. `bounds` is the coordinator's read-only bound store for
-// the round (nullptr when the substrate is off) — the process backend
-// extracts each shard's certificates from it into the request message.
+// backend ships.
 struct RoundWork {
   Cluster::WorkerFn fn;
   WorkerPlan plan;
-  const detail::BoundStore* bounds = nullptr;
 };
 
 // What one transport attempt produced. `crashed` reports a *real* worker
@@ -137,7 +131,7 @@ std::shared_ptr<ClusterTransport> make_inproc_transport();
 // Everything the process backend needs to spawn and provision its workers.
 struct ProcessTransportConfig {
   std::size_t machines = 1;
-  // Ground-set size of the corpus (sizes the remote BoundStore).
+  // Ground-set size of the corpus, sent in the handshake.
   std::size_t ground_size = 0;
   // Worker binary path. Empty resolves, in order: $BDS_WORKER, then
   // "bds_worker" next to the current executable.

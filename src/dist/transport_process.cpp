@@ -109,20 +109,6 @@ class ProcessTransport final : public ClusterTransport {
     request.fault = injected;
     request.plan = work.plan;
     request.shard.assign(shard.begin(), shard.end());
-    if (work.plan.lazy_bounds && work.bounds != nullptr) {
-      // Ship the shard's warm-start certificates — exactly what the
-      // worker's BoundStore lookups would have returned in-process. The
-      // store is frozen for the whole round, so retries resend the same
-      // certificates and stay pure in (machine, shard).
-      for (const ElementId x : shard) {
-        detail::BoundEntry entry;
-        if (work.bounds->lookup(x, &entry)) {
-          request.bound_ids.push_back(x);
-          request.bound_gains.push_back(entry.bound);
-          request.bound_prefixes.push_back(entry.prefix);
-        }
-      }
-    }
 
     AttemptResult result;
     if (wire::write_frame(w.fd, wire::FrameType::kRequest,

@@ -8,8 +8,11 @@
 //
 // Payloads reuse the checkpoint serialization discipline (util/serialize.h):
 // whitespace-separated tokens, doubles as IEEE-754 bit patterns — so a
-// WorkerOutput decoded on the far side is bit-identical to the one encoded,
-// and `evals_avoided` metering stays comparable between transports.
+// WorkerOutput decoded on the far side is bit-identical to the one encoded.
+// v2 also carries bound sections (the plan's lazy_bounds flag, the
+// request's bound_* arrays, the response's bound_* arrays and
+// evals_avoided). They still round-trip, but the library never fills them:
+// each worker's lazy greedy keeps its bounds to itself.
 //
 // Session shape (coordinator drives; the worker only ever replies):
 //
@@ -111,9 +114,9 @@ std::int64_t decode_hello_ack(std::string_view payload,
                               const std::string& context);
 
 // One worker attempt: the declarative plan, the shard, the coordinator's
-// committed set (inside plan), the fault to enact (kCrash makes the worker
-// exit for real after replying) and the shard's warm-start certificates
-// (parallel id/gain/prefix arrays; empty unless plan.lazy_bounds).
+// committed set (inside plan) and the fault to enact (kCrash makes the
+// worker exit for real after replying). The bound_* arrays are the v2
+// frame's reserved sections; the library sends them empty.
 struct AttemptRequest {
   std::size_t round = 0;
   std::size_t machine = 0;

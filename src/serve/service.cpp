@@ -131,9 +131,6 @@ void SummaryService::register_corpus(
   entry.proto = std::move(proto);
   entry.ground =
       std::make_shared<const std::vector<ElementId>>(std::move(ground));
-  if (spec.cache_safe) {
-    entry.bounds = std::make_shared<detail::SingletonBoundCache>();
-  }
   entry.epoch = dynamic ? dynamic->epoch() : 0;
   entry.dynamic = std::move(dynamic);
   entry.oracle_options = oracle_options;
@@ -163,7 +160,6 @@ SummaryService::CorpusSnapshot SummaryService::snapshot_corpus(
     snap.cacheable = entry.cacheable;
     snap.proto = entry.proto;
     snap.ground = entry.ground;
-    snap.bounds = entry.bounds;
     snap.epoch = entry.epoch;
     return snap;
   }
@@ -246,12 +242,6 @@ SummaryService::MutationOutcome SummaryService::apply_mutation(
     }
     entry.ground =
         std::make_shared<const std::vector<ElementId>>(corpus->live_ground());
-    // Singleton gains shift with the ground set; start a fresh warm-start
-    // cache rather than serving stale bounds (still never changes bits —
-    // bounds only order scans).
-    if (entry.cacheable) {
-      entry.bounds = std::make_shared<detail::SingletonBoundCache>();
-    }
     entry.epoch = out.epoch;
     ++stats_.mutations;
     proto = entry.proto;
@@ -331,7 +321,6 @@ void SummaryService::record_span(const Query& q, const ServeResult& result) {
   span.outcome = serve_outcome_name(result.outcome);
   span.budget_k = q.k;
   span.items = result.solution.size();
-  span.evals_avoided = result.evals_avoided;
   span.queue_seconds = result.queue_seconds;
   span.run_seconds = result.run_seconds;
   span.total_seconds = result.total_seconds;
@@ -463,7 +452,6 @@ ServeResult SummaryService::query(const Query& q) {
   result.queue_seconds = flight->queue_seconds;
   result.run_seconds = flight->run_seconds;
   result.total_seconds = seconds_since(t0);
-  result.evals_avoided = flight->avoided;
   ++stats_.queries;
   if (result.outcome == ServeOutcome::kCoalesced) {
     ++stats_.coalesced;
@@ -506,7 +494,6 @@ void SummaryService::execute(const FlightPtr& flight) {
   bool from_cache = false;
   double run_seconds = 0.0;
   std::uint64_t spent = 0;
-  std::uint64_t avoided = 0;
 
   try {
     const CorpusSnapshot& corpus = flight->corpus;
@@ -527,21 +514,11 @@ void SummaryService::execute(const FlightPtr& flight) {
       params.epsilon = flight->key.epsilon;
       params.machines = flight->key.machines;
 
-      // Certified runs share the corpus's singleton-gain cache: the first
-      // run over a corpus pays the round-0 scans, later ones warm-start
-      // from them. Attaching never changes selections (bound_heap.h), so
-      // the cache's bitwise determinism contract is untouched.
-      RuntimeOptions runtime = flight->runtime;
-      if (flight->certified && corpus.bounds) {
-        runtime.singleton_bounds = corpus.bounds;
-      }
-
       const auto run_start = Clock::now();
       const RunResult run = run_distributed(flight->key.algorithm,
                                             *corpus.proto, *corpus.ground,
-                                            runtime, params);
+                                            flight->runtime, params);
       run_seconds = seconds_since(run_start);
-      avoided = run.stats.total_evals_avoided();
 
       if (flight->certified) {
         summary = build_summary(flight->key, flight->k, run, *corpus.proto,
@@ -568,7 +545,6 @@ void SummaryService::execute(const FlightPtr& flight) {
   flight->served_from_cache = from_cache;
   flight->run_seconds = run_seconds;
   flight->spent = spent;
-  flight->avoided = avoided;
   flight->done = true;
   in_flight_.erase(
       std::remove(in_flight_.begin(), in_flight_.end(), flight),

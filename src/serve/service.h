@@ -106,10 +106,6 @@ struct ServeResult {
   double queue_seconds = 0.0;    // admission wait (0 for hits)
   double run_seconds = 0.0;      // computation time (0 for hits)
   double total_seconds = 0.0;    // submit → answer
-  // Gain evaluations this query's own run skipped via lazy bounds
-  // (core/bound_heap.h), including the cross-query singleton warm start.
-  // Zero for answers that ran no computation (hits, coalesced, degraded).
-  std::uint64_t evals_avoided = 0;
   // Corpus epoch this answer is certified for (0 for frozen corpora).
   std::uint64_t epoch = 0;
 };
@@ -213,13 +209,6 @@ class SummaryService {
     // Shared so flights snapshot it by handle: a mutation swaps in a fresh
     // vector (copy-on-mutate) and never touches one an in-flight run holds.
     std::shared_ptr<const std::vector<ElementId>> ground;
-    // Cross-query lazy-bound warm start (core/bound_heap.h): singleton
-    // gains f({x}) computed by one certified run seed the round-0 scans of
-    // every later run over this corpus. Only created for cache_safe
-    // objectives — the same determinism contract that makes summaries
-    // cacheable makes their gains reusable as bounds. Reset on mutation
-    // (the singletons change with the ground set).
-    std::shared_ptr<detail::SingletonBoundCache> bounds;
     // Dynamic corpora only (add_dynamic_corpus).
     std::shared_ptr<data::DynamicCorpus> dynamic;
     data::DynamicOracleOptions oracle_options;
@@ -235,7 +224,6 @@ class SummaryService {
     bool cacheable = true;
     std::shared_ptr<SubmodularOracle> proto;
     std::shared_ptr<const std::vector<ElementId>> ground;
-    std::shared_ptr<detail::SingletonBoundCache> bounds;
     std::uint64_t epoch = 0;
   };
 
@@ -256,7 +244,6 @@ class SummaryService {
     bool served_from_cache = false;  // double-check hit: no run happened
     ServeResult raw;        // non-certified answer, served verbatim
     std::uint64_t spent = 0;  // oracle evals charged by a raw run
-    std::uint64_t avoided = 0;  // lazy-bound evals skipped by the run
     std::exception_ptr error;
     bool done = false;
   };

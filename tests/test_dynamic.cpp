@@ -8,8 +8,8 @@
 //  * A dynamically maintained oracle (IncrementalCoverageOracle fed
 //    apply_insert/apply_erase) is *bitwise* equal to a from-scratch rebuild
 //    of the mutated corpus — gains, selections, f(S) bits, and the
-//    oracle-evaluation ledger — across worker-oracle modes, lazy bounds
-//    on/off, and both transports (the DynamicGolden grid).
+//    oracle-evaluation ledger — on both transports (the DynamicGolden
+//    grid).
 //  * Stale oracles fail by name (StaleOracleError) instead of silently
 //    answering for the wrong ground set.
 #include <gtest/gtest.h>
@@ -18,11 +18,11 @@
 #include <bit>
 #include <cstdio>
 #include <memory>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "core/bound_heap.h"
 #include "core/registry.h"
 #include "data/corpus.h"
 #include "data/dynamic.h"
@@ -346,7 +346,7 @@ TEST(DynamicOracle, ExemplarFallbackMatchesManualRebuild) {
 
 // ---------------------------------------------------------------------------
 // The DynamicGolden grid: mutated-corpus runs are bitwise equal to
-// from-scratch rebuilds across oracle modes × lazy on/off × transports.
+// from-scratch rebuilds on both transports.
 
 class DynamicGoldenEnv : public ::testing::Environment {
  public:
@@ -407,17 +407,19 @@ void expect_bit_identical(const RunResult& expect, const RunResult& actual) {
   EXPECT_EQ(expect.solution, actual.solution);
   EXPECT_EQ(util::double_bits(expect.value), util::double_bits(actual.value));
   EXPECT_EQ(expect.stats.total_evals(), actual.stats.total_evals());
-  EXPECT_EQ(expect.stats.total_evals_avoided(),
-            actual.stats.total_evals_avoided());
   EXPECT_EQ(expect.stats.critical_path_evals(),
             actual.stats.critical_path_evals());
 }
 
 struct GridCell {
   const char* name;
-  bool lazy;
   TransportKind transport;
 };
+
+// gtest prints the parameter into each ctest name. Its default printout is
+// the raw bytes, whose name pointer moves with the binary's layout, so
+// print the cell name instead.
+void PrintTo(const GridCell& cell, std::ostream* os) { *os << cell.name; }
 
 class DynamicGolden : public ::testing::TestWithParam<GridCell> {};
 
@@ -431,8 +433,6 @@ TEST_P(DynamicGolden, MutatedRunMatchesRebuildBitwise) {
   params.epsilon = 0.25;
   params.machines = 5;
   const auto ground = corpus.live_ground();
-
-  detail::ForcedLazy forced(cell.lazy);
 
   // Reference: a from-scratch rebuild of the mutated corpus (frozen
   // CoverageOracle over the materialized snapshot), in process, same knobs.
@@ -465,10 +465,8 @@ TEST_P(DynamicGolden, MutatedRunMatchesRebuildBitwise) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, DynamicGolden,
     ::testing::Values(
-        GridCell{"CloneLazyInproc", true, TransportKind::kInProcess},
-        GridCell{"CloneLazyProcess", true, TransportKind::kProcess},
-        GridCell{"CloneEagerInproc", false, TransportKind::kInProcess},
-        GridCell{"CloneEagerProcess", false, TransportKind::kProcess}),
+        GridCell{"Inproc", TransportKind::kInProcess},
+        GridCell{"Process", TransportKind::kProcess}),
     [](const auto& info) { return info.param.name; });
 
 // The v2 spec round-trips its delta; v1 specs (no epoch/mutations fields)

@@ -20,7 +20,6 @@
 
 #include "core/baselines.h"
 #include "core/bicriteria.h"
-#include "core/bound_heap.h"
 #include "core/matroid.h"
 #include "dist/engine.h"
 #include "legacy_reference.h"
@@ -29,12 +28,6 @@
 
 namespace bds {
 namespace {
-
-// This suite compares engine runs against the frozen pre-engine loops down
-// to exact eval counts; the cross-round bound substrate (core/bound_heap.h)
-// deliberately changes eval counts, so pin it off for the whole binary.
-// Lazy-on selection identity has its own suite (test_lazy_bounds.cpp).
-const detail::ForcedLazy g_lazy_off(false);
 
 using bds::testing::iota_ids;
 using bds::testing::random_set_system;
@@ -514,6 +507,15 @@ TEST(EngineCheckpoint, FileRoundTripAndMalformedInput) {
                std::invalid_argument);
   EXPECT_THROW(Checkpoint::deserialize("bdsckpt 999\nend\n"),
                std::invalid_argument);
+  // v3 checkpoints carry the evals_avoided fields v4 dropped.
+  try {
+    Checkpoint::deserialize("bdsckpt 3\nend\n");
+    ADD_FAILURE() << "a v3 checkpoint was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version 3"),
+              std::string::npos)
+        << e.what();
+  }
   std::string truncated = c.serialize();
   truncated.resize(truncated.size() / 2);
   EXPECT_THROW(Checkpoint::deserialize(truncated), std::invalid_argument);

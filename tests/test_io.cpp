@@ -38,15 +38,20 @@ class IoTest : public ::testing::Test {
     f.write(reinterpret_cast<const char*>(&value), sizeof(T));
   }
 
-  // Every io error must tell the user which file was bad.
+  // Every io error must tell the user which file was bad and, when `what`
+  // is given, what was wrong with it.
   template <typename Fn>
-  void expect_error_naming_path(Fn fn) {
+  void expect_error_naming_path(Fn fn, const char* what = nullptr) {
     try {
       fn();
       FAIL() << "expected std::runtime_error";
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find(path_), std::string::npos)
           << "error does not name the path: " << e.what();
+      if (what != nullptr) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << "error does not say \"" << what << "\": " << e.what();
+      }
     }
   }
 };
@@ -351,9 +356,24 @@ TEST_F(IoTest, MisalignedSectionOffsetThrowsNamingPath) {
 
 TEST_F(IoTest, SectionOutOfBoundsThrowsNamingPath) {
   const auto sets = bds::testing::random_set_system(10, 20, 0.3, 3);
-  save_set_system(*sets, path_);
-  patch<std::uint64_t>(48, 1 << 20);  // header.section_b beyond the file
-  expect_error_naming_path([&] { map_set_system(path_); });
+  struct Patch {
+    std::uint64_t offset;
+    std::uint64_t value;
+  };
+  const Patch patches[] = {
+      {48, 1 << 20},  // header.section_b beyond the file
+      // header.count: (count + 1) * 8 wraps u64 to 0, so an unchecked size
+      // passes the bounds check and the SetSystem trusts the forged count.
+      {16, (std::uint64_t{1} << 61) - 1},
+  };
+  for (const Patch& p : patches) {
+    save_set_system(*sets, path_);
+    patch<std::uint64_t>(p.offset, p.value);
+    expect_error_naming_path([&] { load_set_system(path_); },
+                             "section out of bounds");
+    expect_error_naming_path([&] { map_set_system(path_); },
+                             "section out of bounds");
+  }
 }
 
 TEST_F(IoTest, WrongPayloadKindThrowsNamingPath) {

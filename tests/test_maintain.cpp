@@ -13,6 +13,7 @@
 #include "data/dynamic.h"
 #include "test_support.h"
 #include "util/rng.h"
+#include "util/serialize.h"
 
 namespace bds {
 namespace {
@@ -172,7 +173,8 @@ TEST(DynamicMaintain, ChurnKeepsMoreThanItReSolves) {
 TEST(DynamicMaintain, RecertifiedRatioMatchesUpperBoundModule) {
   // The maintainer's certificate must be the core/upper_bound math, not an
   // ad-hoc bound: after a kept batch, upper_bound() equals
-  // solution_upper_bound of the cached solution on a fresh oracle.
+  // solution_upper_bound of the cached solution on a fresh oracle, bit for
+  // bit.
   const auto corpus = small_corpus(8);
   CertifiedMaintainer maintainer(corpus, small_config());
   const auto dup = corpus->set_items(1);
@@ -183,7 +185,8 @@ TEST(DynamicMaintain, RecertifiedRatioMatchesUpperBoundModule) {
   const std::vector<ElementId> ground = corpus->live_ground();
   const double reference = solution_upper_bound(
       maintainer.oracle(), maintainer.solution(), ground, small_config().k);
-  EXPECT_DOUBLE_EQ(maintainer.upper_bound(), reference);
+  EXPECT_EQ(util::double_bits(maintainer.upper_bound()),
+            util::double_bits(reference));
 }
 
 TEST(DynamicMaintain, RebuildFallbackCountsRebuilds) {

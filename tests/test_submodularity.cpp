@@ -1,6 +1,6 @@
 // Generic property audit over the objective registry: every registered
 // objective must be monotone submodular — that pair of properties is what
-// the whole lazy-bound substrate (core/bound_heap.h) and the bicriteria
+// lazy greedy's stale-bound pruning (core/bound_heap.h) and the bicriteria
 // guarantees rest on. The test enumerates core/registry.h's objective list
 // so a newly registered objective fails loudly here until it either passes
 // the probes or is consciously exempted.

@@ -10,10 +10,12 @@
 #include <vector>
 
 #include "core/streaming.h"
+#include "core/upper_bound.h"
 #include "core/window.h"
 #include "test_support.h"
 #include "objectives/coverage.h"
 #include "util/rng.h"
+#include "util/serialize.h"
 
 namespace bds {
 namespace {
@@ -95,7 +97,14 @@ TEST(WindowSieve, UpperBoundDominatesTheWindowSieveValueAtEveryTick) {
     EXPECT_GE(sieve.upper_bound(), reference.value - 1e-9)
         << "tick " << t;
     EXPECT_GE(sieve.upper_bound(), sieve.value() - 1e-9) << "tick " << t;
-    if (!resolved) {
+    if (resolved) {
+      // A re-solve recomputes the bound with core/upper_bound's math, bit
+      // for bit.
+      EXPECT_EQ(util::double_bits(sieve.upper_bound()),
+                util::double_bits(solution_upper_bound(
+                    proto, sieve.solution(), window, config.k)))
+          << "tick " << t;
+    } else {
       // A kept tick is a certificate claim: the cached value still clears
       // the decay threshold. (A resolved tick only promises the sieve's own
       // 1/2 - eps ratio, so the stronger bound is not asserted there.)
