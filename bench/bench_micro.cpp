@@ -17,7 +17,7 @@
 //                   ~10M-set on-disk corpus: load time, cold-page-cache
 //                   first-round latency, and the worker clone's state).
 //                   A `dynamic` section times the mutation path (corpus
-//                   apply, O(degree) incremental oracle update vs
+//                   apply, O(degree) in-place oracle update vs
 //                   O(corpus) rebuild), the certified maintenance loop
 //                   under churn (kept/resolved ledger and re-solve rate),
 //                   and sliding-window advance latency.
@@ -585,8 +585,8 @@ void ensure_mmap_corpus(const std::string& path) {
 // --- dynamic corpus churn ---------------------------------------------------
 //
 // The mutation path the dynamic-corpus layer promises: a corpus apply is an
-// O(items) log append into the heap-side overlay, the incremental coverage
-// oracle absorbs an insert in O(degree) instead of an O(corpus) index
+// O(items) log append into the heap-side overlay, the coverage oracle
+// appends an insert to its own overlay in O(degree) instead of an O(corpus)
 // rebuild, and the certified maintenance loop re-solves only when the
 // bicriteria certificate decays past epsilon — the re-solve rate under
 // churn is the number the exit gate pins below 100%.
@@ -884,7 +884,8 @@ void write_gain_json(const std::string& path,
       for (const auto& p : payloads) corpus.insert(p);
     });
 
-    // Incremental path: the oracle absorbs each insert in O(degree).
+    // In-place path: the CoverageOracle appends each insert to its overlay
+    // CSR in O(degree).
     double incremental_s = 0.0;
     {
       data::DynamicCorpus corpus(sets, "bench-incremental");
@@ -897,7 +898,8 @@ void write_gain_json(const std::string& path,
       incremental_s = timer.elapsed_seconds();
     }
 
-    // Rebuild path: what a non-incremental oracle pays per mutation.
+    // Rebuild path: a CoverageOracle over a fresh snapshot per mutation,
+    // what every objective without an in-place path pays.
     double rebuild_s = 0.0;
     {
       data::DynamicCorpus corpus(sets, "bench-rebuild");

@@ -15,8 +15,10 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <system_error>
 
 #include "core/baselines.h"
 #include "core/bicriteria.h"
@@ -81,14 +83,40 @@ constexpr const char* kUsage = R"(usage: bds_cli [options]
   --help             this text
 )";
 
+// The file a generated dataset is spilled to for process workers: the
+// --save path when given, else bds_cli.<pid>.corpus in the temp directory
+// ($TMPDIR, else /tmp), which the destructor removes — so it goes when main
+// returns, also through an exception. In-process runs spill nothing.
+class SpillFile {
+ public:
+  SpillFile(const util::Flags& flags, bool process_transport)
+      : owned_(process_transport && !flags.has("save")),
+        path_(owned_ ? (std::filesystem::temp_directory_path() /
+                        ("bds_cli." + std::to_string(::getpid()) + ".corpus"))
+                           .string()
+                     : flags.get_string("save", "")) {}
+  ~SpillFile() {
+    std::error_code ignored;
+    if (owned_) std::filesystem::remove(path_, ignored);
+  }
+  SpillFile(const SpillFile&) = delete;
+  SpillFile& operator=(const SpillFile&) = delete;
+
+  const std::string& path() const noexcept { return path_; }
+
+ private:
+  bool owned_;
+  std::string path_;
+};
+
 // When `corpus` is non-null (--transport process) the workers rebuild the
-// oracle from a dataset file, so generated datasets are spilled to one (the
-// --save path when given, else a temp file) and the coordinator reloads it
-// through the same data::CorpusSpec::make_oracle() call the workers use —
-// one canonical construction on both sides of the wire.
+// oracle from a dataset file, so generated datasets are spilled to `spill`
+// and the coordinator reloads it through the same
+// data::CorpusSpec::make_oracle() call the workers use — one canonical
+// construction on both sides of the wire.
 std::shared_ptr<const SubmodularOracle> make_oracle(
     const util::Flags& flags, std::string* description,
-    data::CorpusSpec* corpus) {
+    data::CorpusSpec* corpus, const SpillFile& spill) {
   const std::string dataset = flags.get_string("dataset", "synthetic");
   const std::uint64_t seed = flags.get_uint("seed", 1);
 
@@ -108,12 +136,6 @@ std::shared_ptr<const SubmodularOracle> make_oracle(
     return std::make_shared<CoverageOracle>(sets);
   }
 
-  const auto spill_path = [&flags] {
-    return flags.has("save")
-               ? flags.get_string("save", "")
-               : "/tmp/bds_cli." + std::to_string(::getpid()) + ".corpus";
-  };
-
   if (dataset == "wiki" || dataset == "images") {
     std::shared_ptr<const PointSet> points;
     if (dataset == "wiki") {
@@ -131,10 +153,9 @@ std::shared_ptr<const SubmodularOracle> make_oracle(
     }
     *description = dataset + "-like exemplar clustering";
     if (corpus != nullptr) {
-      const std::string path = spill_path();
-      data::save_point_set(*points, path);
+      data::save_point_set(*points, spill.path());
       corpus->objective = "exemplar";
-      corpus->path = path;
+      corpus->path = spill.path();
       corpus->p0_dist = 2.0;
       return corpus->make_oracle();
     }
@@ -173,10 +194,9 @@ std::shared_ptr<const SubmodularOracle> make_oracle(
     data::save_set_system(*sets, flags.get_string("save", ""));
   }
   if (corpus != nullptr) {
-    const std::string path = spill_path();
-    if (!flags.has("save")) data::save_set_system(*sets, path);
+    if (!flags.has("save")) data::save_set_system(*sets, spill.path());
     corpus->objective = "coverage";
-    corpus->path = path;
+    corpus->path = spill.path();
     return corpus->make_oracle();
   }
   return std::make_shared<CoverageOracle>(sets);
@@ -256,9 +276,10 @@ int main(int argc, char** argv) {
     const bool process_transport =
         flags.get_string("transport", "inproc") == "process";
     data::CorpusSpec corpus;
+    const SpillFile spill(flags, process_transport);
     util::Timer gen_timer;
-    const auto oracle =
-        make_oracle(flags, &description, process_transport ? &corpus : nullptr);
+    const auto oracle = make_oracle(
+        flags, &description, process_transport ? &corpus : nullptr, spill);
     std::vector<ElementId> ground(oracle->ground_size());
     for (std::size_t i = 0; i < ground.size(); ++i) {
       ground[i] = static_cast<ElementId>(i);

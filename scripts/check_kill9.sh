@@ -15,12 +15,32 @@
 # retry). A landed kill whose report shows no retry would mean the crash
 # was swallowed — that is a failure, not a reason to re-roll.
 #
+# The CLI runs with TMPDIR inside the script's work directory, and every
+# process run must leave no bds_cli.<pid>.corpus spill behind, there or in
+# /tmp, once it exits.
+#
 # usage: scripts/check_kill9.sh path/to/bds_cli
 set -euo pipefail
 
 CLI="${1:?usage: check_kill9.sh path/to/bds_cli}"
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT
+export TMPDIR="${workdir}/tmp"
+mkdir "$TMPDIR"
+
+# Fails if the run with pid $1 left its corpus spill behind.
+check_no_spill() {
+  local left=("$TMPDIR"/bds_cli.*.corpus)
+  [ -e "${left[0]}" ] || left=()
+  if [ -e "/tmp/bds_cli.$1.corpus" ]; then
+    left+=("/tmp/bds_cli.$1.corpus")
+  fi
+  if [ "${#left[@]}" -gt 0 ]; then
+    echo "bds_cli (pid $1) left its corpus spill behind: ${left[*]}" >&2
+    rm -f "${left[@]}"
+    exit 1
+  fi
+}
 
 # Large enough that several rounds of real work are in flight when the kill
 # arrives; small enough to stay a smoke test.
@@ -58,6 +78,7 @@ for try in $(seq 1 "$tries"); do
     cat "${workdir}/run.txt" >&2
     exit 1
   fi
+  check_no_spill "$cli"
   if [ -z "$victim" ]; then
     echo "try ${try}: run finished before a worker could be killed; retrying"
     continue

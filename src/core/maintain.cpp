@@ -42,7 +42,6 @@ MaintainDecision CertifiedMaintainer::erase(ElementId id) {
 
 MaintainDecision CertifiedMaintainer::apply(
     std::span<const data::Mutation> batch) {
-  const std::uint64_t before = corpus_->epoch();
   bool solution_member_erased = false;
   for (const data::Mutation& m : batch) {
     if (m.kind == data::MutationKind::kErase &&
@@ -52,8 +51,10 @@ MaintainDecision CertifiedMaintainer::apply(
     }
     corpus_->apply(m);
   }
-  sync_oracle(before);
-  data::require_epoch(*oracle_, *corpus_);
+  data::SyncedOracle synced = data::sync_dynamic_oracle(
+      std::move(oracle_), *corpus_, config_.objective, config_.oracle);
+  oracle_ = std::move(synced.oracle);
+  if (synced.rebuilt) ++stats_.oracle_rebuilds;
 
   ++stats_.batches;
   stats_.mutations += batch.size();
@@ -67,24 +68,6 @@ MaintainDecision CertifiedMaintainer::apply(
   resolve();
   ++stats_.resolved;
   return MaintainDecision::kResolved;
-}
-
-void CertifiedMaintainer::sync_oracle(std::uint64_t from_epoch) {
-  if (oracle_->supports_dynamic_updates()) {
-    const auto& log = corpus_->log();
-    for (std::uint64_t e = from_epoch; e < log.size(); ++e) {
-      const data::Mutation& m = log[e];
-      if (m.kind == data::MutationKind::kInsert) {
-        oracle_->apply_insert(m.id, m.items, e + 1);
-      } else {
-        oracle_->apply_erase(m.id, e + 1);
-      }
-    }
-    return;
-  }
-  oracle_ =
-      data::make_dynamic_oracle(*corpus_, config_.objective, config_.oracle);
-  ++stats_.oracle_rebuilds;
 }
 
 double CertifiedMaintainer::recertify() {

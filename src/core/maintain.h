@@ -6,9 +6,8 @@
 // *any* mutated corpus until the recomputed certificate shows it has decayed
 // past ε. So after each mutation batch the maintainer:
 //
-//   1. syncs its oracle — in place in O(degree) when the oracle supports
-//      dynamic updates (incremental coverage), otherwise a rebuild from the
-//      mutated corpus (data::make_dynamic_oracle fallback);
+//   1. syncs its oracle through data::sync_dynamic_oracle — in place in
+//      O(degree) for coverage, otherwise a rebuild from the mutated corpus;
 //   2. recomputes the core/upper_bound certificate against the *cached*
 //      solution — one O(|ground|) oracle pass, no rounds;
 //   3. re-solves with adaptive_bicriteria only when an erase removed a
@@ -96,7 +95,6 @@ class CertifiedMaintainer {
   const MaintainStats& stats() const noexcept { return stats_; }
 
  private:
-  void sync_oracle(std::uint64_t from_epoch);
   // Recomputes value + certificate for the cached solution; returns the
   // fresh ratio.
   double recertify();

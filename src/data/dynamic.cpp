@@ -5,7 +5,6 @@
 #include <sstream>
 #include <utility>
 
-#include "objectives/coverage_incremental.h"
 #include "objectives/logdet.h"
 #include "util/rng.h"
 #include "util/serialize.h"
@@ -13,7 +12,22 @@
 namespace bds::data {
 
 namespace {
+
 constexpr std::uint32_t kDeltaVersion = 1;
+
+// Applies log records [oracle.corpus_epoch(), corpus.epoch()) in place.
+void replay_log(SubmodularOracle& oracle, const DynamicCorpus& corpus) {
+  const std::vector<Mutation>& log = corpus.log();
+  for (std::uint64_t e = oracle.corpus_epoch(); e < log.size(); ++e) {
+    const Mutation& m = log[e];
+    if (m.kind == MutationKind::kInsert) {
+      oracle.apply_insert(m.id, m.items, e + 1);
+    } else {
+      oracle.apply_erase(m.id, e + 1);
+    }
+  }
+}
+
 }  // namespace
 
 DynamicCorpus::DynamicCorpus(std::shared_ptr<const SetSystem> base,
@@ -303,24 +317,12 @@ std::unique_ptr<SubmodularOracle> make_dynamic_oracle(
           "make_dynamic_oracle: coverage needs a set-system corpus");
     }
     if (options.prefer_incremental) {
-      // The incremental path: build over the (possibly mmap'd) base and
-      // replay the mutation log in O(degree) per insert. Integer residuals
-      // make the result bit-identical to a snapshot rebuild.
-      auto inc =
-          std::make_unique<IncrementalCoverageOracle>(corpus.base_sets());
-      std::uint64_t epoch = 0;
-      for (const Mutation& m : corpus.log()) {
-        ++epoch;
-        if (m.kind == MutationKind::kInsert) {
-          inc->apply_insert(m.id, m.items, epoch);
-        } else {
-          inc->apply_erase(m.id, epoch);
-        }
-      }
-      oracle = std::move(inc);
+      // Over the (possibly mmap'd) base, with every insert appended to the
+      // oracle's overlay in O(degree).
+      oracle = std::make_unique<CoverageOracle>(corpus.base_sets());
+      replay_log(*oracle, corpus);
     } else {
-      // Rebuild fallback: a frozen oracle over a materialized snapshot —
-      // the path every objective without incremental updates takes.
+      // Rebuild fallback: an oracle over a materialized snapshot.
       oracle = std::make_unique<CoverageOracle>(corpus.materialize_sets());
     }
   } else if (objective == "exemplar" || objective == "sampled-exemplar" ||
@@ -348,6 +350,22 @@ std::unique_ptr<SubmodularOracle> make_dynamic_oracle(
   }
   oracle->stamp_corpus_epoch(corpus.epoch());
   return oracle;
+}
+
+SyncedOracle sync_dynamic_oracle(std::unique_ptr<SubmodularOracle> oracle,
+                                 const DynamicCorpus& corpus,
+                                 std::string_view objective,
+                                 const DynamicOracleOptions& options) {
+  SyncedOracle synced;
+  if (options.prefer_incremental && oracle->supports_dynamic_updates()) {
+    replay_log(*oracle, corpus);
+    synced.oracle = std::move(oracle);
+  } else {
+    synced.oracle = make_dynamic_oracle(corpus, objective, options);
+    synced.rebuilt = true;
+  }
+  require_epoch(*synced.oracle, corpus);
+  return synced;
 }
 
 }  // namespace bds::data

@@ -177,9 +177,11 @@ void require_epoch(const SubmodularOracle& oracle, const DynamicCorpus& corpus);
 // Construction scalars for the dynamic oracle factory — the same knobs
 // CorpusSpec carries for the frozen path.
 struct DynamicOracleOptions {
-  // Coverage: build the O(degree)-updatable IncrementalCoverageOracle
-  // (supports_dynamic_updates) instead of a frozen rebuild. The rebuild
-  // fallback exists so every objective works behind one interface.
+  // Coverage: build a CoverageOracle over the base, replay the mutation log
+  // into its overlay, and follow later mutations in place (O(degree) per
+  // insert, see sync_dynamic_oracle). false builds every epoch's oracle
+  // over a materialized snapshot instead: the rebuild path every other
+  // objective takes, and the reference the dynamic = rebuild tests use.
   bool prefer_incremental = true;
   double p0_dist = 2.0;            // exemplar family
   std::size_t sample_size = 0;     // sampled-exemplar
@@ -189,13 +191,33 @@ struct DynamicOracleOptions {
 };
 
 // Builds a fresh (empty-set) oracle prototype for the corpus's *current*
-// epoch, stamped with it. "coverage" over a set-system corpus gets the
-// incremental oracle (mutations applied in O(degree) from the log); every
+// epoch, stamped with it. "coverage" over a set-system corpus is a
+// CoverageOracle over the base with the mutation log replayed into it
+// (O(degree) per insert) unless options.prefer_incremental is false; every
 // other objective is built over a materialized snapshot — the
 // rebuild-on-epoch-change fallback. Throws std::invalid_argument on an
 // unknown objective or an objective/corpus-kind mismatch.
 std::unique_ptr<SubmodularOracle> make_dynamic_oracle(
     const DynamicCorpus& corpus, std::string_view objective,
     const DynamicOracleOptions& options = {});
+
+// An oracle brought to its corpus's current epoch, and how.
+struct SyncedOracle {
+  std::unique_ptr<SubmodularOracle> oracle;
+  bool rebuilt = false;  // built anew by make_dynamic_oracle
+};
+
+// The one place that decides how an oracle follows corpus mutations. When
+// options.prefer_incremental is set and the oracle supports dynamic
+// updates, it applies the log records [oracle->corpus_epoch(),
+// corpus.epoch()) to `oracle` in place; otherwise it drops `oracle` and
+// returns make_dynamic_oracle(corpus, objective, options). A caller whose
+// oracle others may still read (serve's prototype) passes in a clone.
+// Throws StaleOracleError if the result does not answer for the corpus's
+// epoch (an oracle from a later epoch or another corpus).
+SyncedOracle sync_dynamic_oracle(std::unique_ptr<SubmodularOracle> oracle,
+                                 const DynamicCorpus& corpus,
+                                 std::string_view objective,
+                                 const DynamicOracleOptions& options);
 
 }  // namespace bds::data

@@ -3,8 +3,8 @@
 // Algorithms declare their rounds as a RoundProgram (core/round_spec.h);
 // the engine owns everything the eight hand-copied loops used to own:
 //
-//   * the coordinator oracle (clone of the prototype, optionally upgraded
-//     to incremental coverage gains) and its eval-delta accounting;
+//   * the coordinator oracle (a clone of the prototype) and its eval-delta
+//     accounting;
 //   * the dist::Cluster simulator (host threads, fault injection, retries,
 //     structured round spans) and the partitioning RNG;
 //   * the gather -> filter -> merge stages, RoundTrace construction and

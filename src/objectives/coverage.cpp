@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace bds {
@@ -57,9 +58,20 @@ SetSystem::SetSystem(const std::uint64_t* offsets, std::size_t num_sets,
 CoverageOracle::CoverageOracle(std::shared_ptr<const SetSystem> sets)
     : sets_(std::move(sets)), covered_(sets_->universe_size(), 0) {}
 
+std::span<const std::uint32_t> CoverageOracle::row(
+    ElementId x) const noexcept {
+  const std::size_t base = sets_->num_sets();
+  if (x < base) return sets_->set_items(x);
+  const std::size_t r = x - base;
+  const std::uint64_t begin = r == 0 ? 0 : ov_ends_[r - 1];
+  return std::span<const std::uint32_t>(
+      ov_entries_.data() + begin,
+      static_cast<std::size_t>(ov_ends_[r] - begin));
+}
+
 double CoverageOracle::do_gain(ElementId x) const {
   std::uint64_t fresh = 0;
-  for (const std::uint32_t e : sets_->set_items(x)) {
+  for (const std::uint32_t e : row(x)) {
     fresh += (covered_[e] == 0);
   }
   return static_cast<double>(fresh);
@@ -67,9 +79,16 @@ double CoverageOracle::do_gain(ElementId x) const {
 
 void CoverageOracle::do_gain_batch(std::span<const ElementId> xs,
                                    std::span<double> out) const {
-  // One pass over the CSR arrays with all bases hoisted into registers: no
-  // per-element virtual dispatch, no span re-materialization, and the
-  // covered bitmap stays hot across consecutive candidates.
+  if (!ov_ends_.empty()) {
+    // Dynamic inserts present: each id reads its base or overlay row.
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      out[i] = CoverageOracle::do_gain(xs[i]);
+    }
+    return;
+  }
+  // Frozen corpus: one pass over the CSR arrays with all bases hoisted into
+  // registers: no per-element virtual dispatch, no span re-materialization,
+  // and the covered bitmap stays hot across consecutive candidates.
   const std::uint64_t* const offsets = sets_->offsets_data();
   const std::uint32_t* const entries = sets_->entries_data();
   const std::uint8_t* const covered = covered_.data();
@@ -86,7 +105,7 @@ void CoverageOracle::do_gain_batch(std::span<const ElementId> xs,
 
 double CoverageOracle::do_add(ElementId x) {
   std::uint64_t fresh = 0;
-  for (const std::uint32_t e : sets_->set_items(x)) {
+  for (const std::uint32_t e : row(x)) {
     if (covered_[e] == 0) {
       covered_[e] = 1;
       ++fresh;
@@ -96,12 +115,47 @@ double CoverageOracle::do_add(ElementId x) {
   return static_cast<double>(fresh);
 }
 
+void CoverageOracle::do_apply_insert(ElementId id,
+                                     std::span<const std::uint32_t> items) {
+  if (id != ground_size()) {
+    throw std::invalid_argument(
+        "apply_insert: id " + std::to_string(id) +
+        " is not the next ground id (" + std::to_string(ground_size()) +
+        ") — mutations must be applied in log order");
+  }
+  // The row must be canonical (sorted unique, in range), as every SetSystem
+  // row is, or gain and add would disagree on a repeated item. Checked
+  // before any write, so a bad payload leaves the oracle as it was.
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (items[i] >= covered_.size()) {
+      throw std::out_of_range("apply_insert: element " +
+                              std::to_string(items[i]) + " outside universe");
+    }
+    if (i > 0 && items[i] <= items[i - 1]) {
+      throw std::invalid_argument("apply_insert: items of set " +
+                                  std::to_string(id) +
+                                  " are not sorted unique");
+    }
+  }
+  ov_entries_.insert(ov_entries_.end(), items.begin(), items.end());
+  ov_ends_.push_back(ov_entries_.size());
+}
+
+void CoverageOracle::do_apply_erase(ElementId id) {
+  if (id >= ground_size()) {
+    throw std::out_of_range("apply_erase: unknown ground id " +
+                            std::to_string(id));
+  }
+}
+
 std::unique_ptr<SubmodularOracle> CoverageOracle::do_clone() const {
   return std::make_unique<CoverageOracle>(*this);
 }
 
 std::size_t CoverageOracle::do_state_bytes() const noexcept {
-  return covered_.capacity() * sizeof(std::uint8_t);
+  return covered_.capacity() * sizeof(std::uint8_t) +
+         ov_ends_.capacity() * sizeof(std::uint64_t) +
+         ov_entries_.capacity() * sizeof(std::uint32_t);
 }
 
 WeightedCoverageOracle::WeightedCoverageOracle(

@@ -86,22 +86,29 @@ class SetSystem {
 
 // Unweighted coverage oracle. gain(i) = number of not-yet-covered universe
 // elements of set i: O(|set i|) per evaluation.
+//
+// It is also the oracle of dynamic set-system corpora (data/dynamic.h).
+// apply_insert appends the new set as a row of an overlay CSR that this
+// oracle owns, with ids after the base sets: O(degree). Clones copy the
+// overlay; the base is never written, so a mapped base stays zero-copy. An
+// erase is a ground-set exclusion (the corpus tombstones the id and never
+// offers it again), so apply_erase only range-checks the id. Gains are
+// integer counts over the same rows a snapshot rebuild stores, so an oracle
+// that replayed a mutation log answers bit for bit what one built over
+// DynamicCorpus::materialize_sets() answers.
 class CoverageOracle final : public SubmodularOracle {
  public:
   explicit CoverageOracle(std::shared_ptr<const SetSystem> sets);
 
   std::size_t ground_size() const noexcept override {
-    return sets_->num_sets();
+    return sets_->num_sets() + ov_ends_.size();
   }
   double max_value() const noexcept override {
     return static_cast<double>(sets_->universe_size());
   }
+  bool supports_dynamic_updates() const noexcept override { return true; }
 
   std::uint64_t covered_count() const noexcept { return covered_count_; }
-  const SetSystem& set_system() const noexcept { return *sets_; }
-  std::shared_ptr<const SetSystem> set_system_ptr() const noexcept {
-    return sets_;
-  }
 
  protected:
   double do_gain(ElementId x) const override;
@@ -110,11 +117,21 @@ class CoverageOracle final : public SubmodularOracle {
                      std::span<double> out) const override;
   std::unique_ptr<SubmodularOracle> do_clone() const override;
   std::size_t do_state_bytes() const noexcept override;
+  void do_apply_insert(ElementId id,
+                       std::span<const std::uint32_t> items) override;
+  void do_apply_erase(ElementId id) override;
 
  private:
+  // Members of set x: a base row, or overlay row x − num_sets().
+  std::span<const std::uint32_t> row(ElementId x) const noexcept;
+
   std::shared_ptr<const SetSystem> sets_;
   std::vector<std::uint8_t> covered_;
   std::uint64_t covered_count_ = 0;
+  // Inserted sets, CSR-packed: row r ends at ov_ends_[r]. Both stay empty
+  // (unallocated) on a frozen corpus.
+  std::vector<std::uint64_t> ov_ends_;
+  std::vector<std::uint32_t> ov_entries_;
 };
 
 // Weighted coverage: each universe element has a non-negative weight;

@@ -121,9 +121,10 @@ class SubmodularOracle {
   }
 
   // True when the oracle absorbs corpus mutations in place (unweighted
-  // coverage: O(degree) via the inverted index). False means callers must
-  // rebuild from the mutated corpus — the rebuild-on-epoch-change fallback
-  // behind the same interface (data::make_dynamic_oracle).
+  // coverage: O(degree), the new set appended to an overlay CSR). False
+  // means callers must rebuild from the mutated corpus — the
+  // rebuild-on-epoch-change fallback behind the same interface
+  // (data::sync_dynamic_oracle decides, data::make_dynamic_oracle builds).
   virtual bool supports_dynamic_updates() const noexcept { return false; }
 
   // Structural updates for dynamic corpora: a freshly inserted ground

@@ -220,26 +220,16 @@ SummaryService::MutationOutcome SummaryService::apply_mutation(
       m.id = static_cast<ElementId>(corpus->size());
     }
     corpus->apply(m);
-    const data::Mutation& applied = corpus->log().back();
     out.epoch = corpus->epoch();
-    out.id = applied.id;
+    out.id = corpus->log().back().id;
 
-    // Copy-on-mutate: the fresh prototype replaces the entry's handle; any
-    // in-flight run keeps the snapshot it took at submit.
-    if (entry.proto->supports_dynamic_updates()) {
-      std::shared_ptr<SubmodularOracle> next = entry.proto->clone();
-      if (applied.kind == data::MutationKind::kInsert) {
-        next->apply_insert(applied.id, applied.items, out.epoch);
-      } else {
-        next->apply_erase(applied.id, out.epoch);
-      }
-      entry.proto = std::move(next);
-    } else {
-      entry.proto = data::make_dynamic_oracle(*corpus, entry.objective,
-                                              entry.oracle_options);
-      out.oracle_rebuilt = true;
-      ++stats_.oracle_rebuilds;
-    }
+    // Copy-on-mutate: a clone follows the mutation and replaces the entry's
+    // handle; any in-flight run keeps the snapshot it took at submit.
+    data::SyncedOracle synced = data::sync_dynamic_oracle(
+        entry.proto->clone(), *corpus, entry.objective, entry.oracle_options);
+    entry.proto = std::move(synced.oracle);
+    out.oracle_rebuilt = synced.rebuilt;
+    if (synced.rebuilt) ++stats_.oracle_rebuilds;
     entry.ground =
         std::make_shared<const std::vector<ElementId>>(corpus->live_ground());
     entry.epoch = out.epoch;

@@ -172,8 +172,8 @@ class SummaryService {
   };
 
   // Mutation endpoints. Both bump the corpus epoch, refresh the prototype
-  // (in place when the oracle supports dynamic updates, rebuild otherwise
-  // — in-flight runs keep their snapshot either way), then recertify or
+  // (a clone through data::sync_dynamic_oracle: in place or rebuilt —
+  // in-flight runs keep their snapshot either way), then recertify or
   // drop every cached summary of this corpus instead of blanket-flushing.
   // Throw std::invalid_argument for an unknown or non-dynamic corpus and
   // propagate DynamicCorpus validation errors.

@@ -5,6 +5,7 @@
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "test_support.h"
@@ -133,6 +134,107 @@ TEST(CoverageOracle, ValueMatchesExplicitUnion) {
     covered.insert(items.begin(), items.end());
     EXPECT_DOUBLE_EQ(oracle.value(), double(covered.size()));
   }
+}
+
+// --- dynamic inserts: the overlay rows after the base sets ---
+
+// Runs `mutate` and expects it to throw E with `needle` in its message.
+template <typename E, typename F>
+void expect_throw_naming(F mutate, const std::string& needle) {
+  try {
+    mutate();
+    FAIL() << "expected a throw naming '" << needle << "'";
+  } catch (const E& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CoverageOracle, InsertedSetsGainAndAddLikeBaseSets) {
+  CoverageOracle oracle(tiny_system());
+  EXPECT_TRUE(oracle.supports_dynamic_updates());
+  const std::vector<std::uint32_t> row = {1, 3, 5};
+  oracle.apply_insert(4, row, 1);
+  EXPECT_EQ(oracle.corpus_epoch(), 1u);
+  EXPECT_DOUBLE_EQ(oracle.gain(4), 3.0);
+  oracle.add(1);  // covers 2 and 3
+  EXPECT_DOUBLE_EQ(oracle.gain(4), 2.0);
+  const std::vector<ElementId> ids = {0, 4, 1};
+  EXPECT_EQ(oracle.gain_batch(ids), (std::vector<double>{2.0, 2.0, 0.0}));
+  EXPECT_DOUBLE_EQ(oracle.add(4), 2.0);
+  EXPECT_DOUBLE_EQ(oracle.value(), 4.0);
+  EXPECT_EQ(oracle.covered_count(), 4u);
+}
+
+TEST(CoverageOracle, ApplyInsertRejectsAnIdOutOfLogOrder) {
+  CoverageOracle oracle(tiny_system());
+  const std::vector<std::uint32_t> row = {1};
+  expect_throw_naming<std::invalid_argument>(
+      [&] { oracle.apply_insert(7, row, 1); }, "id 7");
+  EXPECT_EQ(oracle.ground_size(), 4u);
+  EXPECT_EQ(oracle.corpus_epoch(), 0u);
+}
+
+TEST(CoverageOracle, ApplyInsertRejectsAnItemBeyondTheUniverse) {
+  CoverageOracle oracle(tiny_system());
+  const std::vector<std::uint32_t> row = {1, 6};
+  expect_throw_naming<std::out_of_range>(
+      [&] { oracle.apply_insert(4, row, 1); }, "element 6");
+  EXPECT_EQ(oracle.ground_size(), 4u);
+  EXPECT_EQ(oracle.corpus_epoch(), 0u);
+}
+
+TEST(CoverageOracle, ApplyInsertRejectsARowThatIsNotSortedUnique) {
+  // A repeated item would count twice in gain() and once in add().
+  CoverageOracle oracle(tiny_system());
+  const std::vector<std::uint32_t> repeated = {1, 1};
+  expect_throw_naming<std::invalid_argument>(
+      [&] { oracle.apply_insert(4, repeated, 1); }, "set 4");
+  const std::vector<std::uint32_t> unsorted = {3, 1};
+  EXPECT_THROW(oracle.apply_insert(4, unsorted, 1), std::invalid_argument);
+  EXPECT_EQ(oracle.ground_size(), 4u);
+}
+
+TEST(CoverageOracle, ApplyEraseRejectsAnUnknownId) {
+  CoverageOracle oracle(tiny_system());
+  const std::vector<std::uint32_t> row = {5};
+  oracle.apply_insert(4, row, 1);
+  EXPECT_NO_THROW(oracle.apply_erase(4, 2));
+  expect_throw_naming<std::out_of_range>(
+      [&] { oracle.apply_erase(5, 3); }, "id 5");
+  EXPECT_EQ(oracle.corpus_epoch(), 2u);
+}
+
+TEST(CoverageOracle, CloneTakenBeforeAnInsertDoesNotSeeIt) {
+  CoverageOracle oracle(tiny_system());
+  oracle.add(0);
+  const auto before = oracle.clone();
+  const std::vector<std::uint32_t> row = {4, 5};
+  oracle.apply_insert(4, row, 1);
+  EXPECT_EQ(before->ground_size(), 4u);
+  EXPECT_EQ(before->corpus_epoch(), 0u);
+  EXPECT_EQ(oracle.ground_size(), 5u);
+  // A clone taken after the insert carries the overlay and the set state.
+  const auto after = oracle.clone();
+  EXPECT_EQ(after->ground_size(), 5u);
+  EXPECT_DOUBLE_EQ(after->gain(4), 2.0);
+  EXPECT_DOUBLE_EQ(after->value(), 3.0);
+}
+
+TEST(CoverageOracle, GroundSizeAndStateBytesCountTheOverlay) {
+  CoverageOracle oracle(tiny_system());
+  const std::size_t frozen_bytes = oracle.state_bytes();
+  const std::vector<std::uint32_t> first = {0, 1, 2, 3, 4};
+  const std::vector<std::uint32_t> second = {5};
+  oracle.apply_insert(4, first, 1);
+  oracle.apply_insert(5, second, 2);
+  EXPECT_EQ(oracle.ground_size(), 6u);
+  // Two row ends and six items; growth may leave spare capacity, while a
+  // clone copies exactly what is there.
+  const std::size_t overlay =
+      2 * sizeof(std::uint64_t) + 6 * sizeof(std::uint32_t);
+  EXPECT_GE(oracle.state_bytes(), frozen_bytes + overlay);
+  EXPECT_EQ(oracle.clone()->state_bytes(), frozen_bytes + overlay);
 }
 
 class CoverageProperty : public ::testing::TestWithParam<std::uint64_t> {};

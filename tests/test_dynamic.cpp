@@ -5,7 +5,7 @@
 //  * DynamicCorpus mutations are canonical and versioned: inserts take the
 //    next ground id, erases tombstone without reindexing set ids, and the
 //    mutation log round-trips through the wire delta bit-exactly.
-//  * A dynamically maintained oracle (IncrementalCoverageOracle fed
+//  * A dynamically maintained oracle (a CoverageOracle fed
 //    apply_insert/apply_erase) is *bitwise* equal to a from-scratch rebuild
 //    of the mutated corpus — gains, selections, f(S) bits, and the
 //    oracle-evaluation ledger — on both transports (the DynamicGolden
@@ -28,7 +28,6 @@
 #include "data/dynamic.h"
 #include "data/io.h"
 #include "objectives/coverage.h"
-#include "objectives/coverage_incremental.h"
 #include "objectives/exemplar.h"
 #include "test_support.h"
 #include "util/rng.h"
@@ -250,7 +249,7 @@ TEST(DynamicEpoch, ClonesAndShardViewsInheritTheStamp) {
 
 TEST(DynamicEpoch, NonIncrementalOraclesRefuseInPlaceUpdates) {
   const auto sets = random_set_system(6, 20, 0.3, 14);
-  CoverageOracle frozen(sets);
+  WeightedCoverageOracle frozen(sets, std::vector<double>(20, 1.0));
   EXPECT_FALSE(frozen.supports_dynamic_updates());
   const std::vector<std::uint32_t> items = {1, 2};
   try {

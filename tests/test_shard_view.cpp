@@ -15,7 +15,6 @@
 
 #include "core/greedy.h"
 #include "objectives/coverage.h"
-#include "objectives/coverage_incremental.h"
 #include "objectives/exemplar.h"
 #include "objectives/logdet.h"
 #include "objectives/prob_coverage.h"
@@ -92,7 +91,7 @@ enum class Family : std::uint64_t {
   kWeightedCoverage,
   kProbCoverage,
   kWeightedProbCoverage,
-  kIncrementalCoverage,
+  kOverlayCoverage,
   kSaturatedCoverage,
   kSaturatedCoverageDiversity,
   kExemplar,
@@ -128,10 +127,18 @@ std::unique_ptr<SubmodularOracle> build_weighted_prob_coverage(
       random_prob_sets(60, 3000, 0.004, seed), random_weights(3000, seed + 1));
 }
 
-std::unique_ptr<SubmodularOracle> build_incremental_coverage(
-    std::uint64_t seed) {
-  return std::make_unique<IncrementalCoverageOracle>(
+// A coverage oracle that absorbed dynamic inserts: 4 overlay rows after
+// the 60 base sets, so shards and seeds hold ids on both sides of the base
+// boundary.
+std::unique_ptr<SubmodularOracle> build_overlay_coverage(std::uint64_t seed) {
+  auto oracle = std::make_unique<CoverageOracle>(
       testing::random_set_system(60, 3000, 0.004, seed));
+  const std::vector<std::vector<std::uint32_t>> inserts = {
+      {3, 17, 250, 2999}, {}, {17, 1200}, {5, 6, 7, 8, 9, 1500, 2400}};
+  for (std::size_t i = 0; i < inserts.size(); ++i) {
+    oracle->apply_insert(static_cast<ElementId>(60 + i), inserts[i], i + 1);
+  }
+  return oracle;
 }
 
 std::unique_ptr<SubmodularOracle> build_saturated(std::uint64_t seed) {
@@ -172,8 +179,8 @@ std::unique_ptr<SubmodularOracle> build_family(Family family,
       return build_prob_coverage(seed);
     case Family::kWeightedProbCoverage:
       return build_weighted_prob_coverage(seed);
-    case Family::kIncrementalCoverage:
-      return build_incremental_coverage(seed);
+    case Family::kOverlayCoverage:
+      return build_overlay_coverage(seed);
     case Family::kSaturatedCoverage:
       return build_saturated(seed);
     case Family::kSaturatedCoverageDiversity:
@@ -299,7 +306,7 @@ INSTANTIATE_TEST_SUITE_P(
         FamilyParam{"ProbCoverage", Family::kProbCoverage, 14},
         FamilyParam{"WeightedProbCoverage", Family::kWeightedProbCoverage,
                     15},
-        FamilyParam{"IncrementalCoverage", Family::kIncrementalCoverage, 11},
+        FamilyParam{"OverlayCoverage", Family::kOverlayCoverage, 11},
         FamilyParam{"SaturatedCoverage", Family::kSaturatedCoverage, 17},
         FamilyParam{"SaturatedCoverageDiversity",
                     Family::kSaturatedCoverageDiversity, 18},
